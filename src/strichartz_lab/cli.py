@@ -80,14 +80,28 @@ def suite_constants(args):
     return cases
 
 
+def _shells_point(args):
+    """The shells suite's cone point, (1, 0) unless --point is given;
+    ValueError on a malformed or exterior --point or too few --samples."""
+    if args.samples < SH.MIN_MC_SAMPLES:
+        raise ValueError(f"shells needs --samples >= {SH.MIN_MC_SAMPLES}")
+    d = args.d or 3
+    if not args.point:
+        return ConePoint(1.0, np.zeros(d))
+    vals = [float(x) for x in args.point.split(",")]
+    if len(vals) != d + 1:
+        raise ValueError(f"--point needs tau and {d} coordinates for d = {d}, "
+                         f"got {len(vals)} values")
+    pt = ConePoint(vals[0], np.array(vals[1:]))
+    if not pt.interior:
+        raise ValueError("--point must lie inside the forward cone (tau > |xi|)")
+    return pt
+
+
 def suite_shells(args):
     """Closed form vs recursion vs Monte Carlo for the cone shell."""
     d, k = args.d or 3, args.k or 2
-    if args.point:
-        vals = [float(x) for x in args.point.split(",")]
-        pt = ConePoint(vals[0], np.array(vals[1:]))
-    else:
-        pt = ConePoint(1.0, np.zeros(d))
+    pt = _shells_point(args)
     closed = SH.itilde_closed(d, k, pt)
     rec = SH.itilde_recursive(d, k, pt, tol=1e-10)
     mc = SH.itilde_montecarlo(d, k, pt, epsilon=args.epsilon, n_samples=args.samples,
@@ -328,6 +342,11 @@ def main(argv=None):
             if getattr(args, key) == ap.get_default(key):  # flag not explicitly set
                 caster = actions[key].type or str
                 setattr(args, key, caster(val))
+    if args.command in ("shells", "all"):
+        try:
+            _shells_point(args)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     started = time.time()
     names = list(SUITES) if args.command == "all" else [args.command]

@@ -109,12 +109,7 @@ def log_schrodinger_sharp_constant(d: int, k: int) -> float:
     _check_scale(d, k, minimum_d=1)
     if k == 2:
         return -d * LOG_2 + (1 - 3 * d) * LOG_2PI + log_sphere_area(d)
-    return (
-        math.log(math.pi)
-        + (-d * (2 * k - 1)) * LOG_2PI
-        + (1.0 - 0.5 * d * k) * math.log(k)
-        + log_sphere_area((k - 1) * d)
-    )
+    return log_schrodinger_sharp_constant_klinear(d, k)
 
 
 def log_schrodinger_sharp_constant_klinear(d: int, k: int) -> float:

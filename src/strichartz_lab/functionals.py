@@ -23,9 +23,9 @@ from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, mc_mean
 from .profiles import ExtremalProfile, sobolev_norm_sq, _angular_nodes
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
-from .quadrules import gauss_nodes as _gauss_nodes
+from .quadrules import gauss_nodes as _gauss_nodes, panel_nodes
 
-_gl8_x, _gl8_w = np.polynomial.legendre.leggauss(8)
+_PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +99,23 @@ def json_line(obj: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator wrappers
+# Composite fields
+#
+# A space-time field exposes d, decay, family, t_peaks, has_closed_form
+# and eval_grid(t, r); RadialEvaluator is the base field, and the
+# drivers below read nothing else.
 
 
 class SumEvaluator:
-    """Pointwise sum of co-centred radial evaluators (e.g. u_+ + u_-)."""
+    """Pointwise sum of co-centred radial fields of one family (e.g. u_+ + u_-)."""
 
     def __init__(self, *evaluators):
         self.parts = evaluators
         self.d = evaluators[0].d
+        self.family = evaluators[0].family
         self.decay = min(ev.decay for ev in evaluators)
-
-    @property
-    def t_peaks(self):
-        return [t for ev in self.parts for t in _peaks(ev)]
+        self.t_peaks = [t for ev in evaluators for t in ev.t_peaks]
+        self.has_closed_form = all(ev.has_closed_form for ev in evaluators)
 
     def eval_grid(self, t, r):
         out = self.parts[0].eval_grid(t, r)
@@ -121,45 +124,18 @@ class SumEvaluator:
         return out
 
 
-class ConjEvaluator:
-    """Complex conjugate of a field (same modulus, reversed phases)."""
+class MappedEvaluator:
+    """Pointwise map of one field, e.g. np.conj (same modulus, reversed
+    phases) or np.negative; everything but the values is the base's."""
 
-    def __init__(self, base):
+    def __init__(self, base, fn):
         self.base = base
-        self.d = base.d
-        self.decay = base.decay
-
-    @property
-    def t_peaks(self):
-        return _peaks(self.base)
+        self.fn = fn
+        self.d, self.family, self.decay = base.d, base.family, base.decay
+        self.t_peaks, self.has_closed_form = base.t_peaks, base.has_closed_form
 
     def eval_grid(self, t, r):
-        return np.conj(self.base.eval_grid(t, r))
-
-
-class NegEvaluator:
-    def __init__(self, base):
-        self.base = base
-        self.d = base.d
-        self.decay = base.decay
-
-    @property
-    def t_peaks(self):
-        return _peaks(self.base)
-
-    def eval_grid(self, t, r):
-        return -self.base.eval_grid(t, r)
-
-
-def _peaks(ev):
-    if isinstance(ev, (SumEvaluator, ConjEvaluator, NegEvaluator)):
-        return ev.t_peaks
-    p = getattr(ev, "profile", None)
-    if p is None:
-        return [0.0]
-    if p.family == WAVE:
-        return [-p.sign * p.a.imag]
-    return [p.a.imag]
+        return self.fn(self.base.eval_grid(t, r))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +168,7 @@ def default_window(evaluators, tail_factor: float = 40.0, core: float = 18.0) ->
     to the largest sigma present; the ridge resolution (cone mode) uses
     the smallest.
     """
-    peaks = [t for ev in evaluators for t in _peaks(ev)]
+    peaks = [t for ev in evaluators for t in ev.t_peaks]
     scale = max(ev.decay for ev in evaluators)
     t_center = 0.5 * (max(peaks) + min(peaks))
     spread = 0.5 * (max(peaks) - min(peaks))
@@ -201,14 +177,6 @@ def default_window(evaluators, tail_factor: float = 40.0, core: float = 18.0) ->
     r_linear = spread + t_linear + 10.0 * scale
     r_max = spread + t_max + 10.0 * scale
     return Window(t_center, t_linear, t_max, r_linear, r_max, spread)
-
-
-def _panel_nodes(edges):
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _gl8_x[None, :]).ravel()
-    w = (half[:, None] * _gl8_w[None, :]).ravel()
-    return x, w
 
 
 def _geom_edges(lo, hi, n):
@@ -236,8 +204,8 @@ def _r_edges(r_hi, level: int, r_lin=None, n_lin0: int = 10, n_log0: int = 8):
 
 
 def _rect_pass(F, d, win: Window, level: int):
-    t, wt = _panel_nodes(_t_edges(win, level))
-    r, wr = _panel_nodes(_r_edges(win.r_max, level, win.r_linear))
+    t, wt = panel_nodes(_t_edges(win, level), _PANEL_ORDER)
+    r, wr = panel_nodes(_r_edges(win.r_max, level, win.r_linear), _PANEL_ORDER)
     vals = F(t, r)
     weight = wr * r ** (d - 1)
     return sphere_area(d) * np.dot(wt, vals @ weight)
@@ -252,7 +220,7 @@ def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
     The radial resolution stops refining after two levels (it already
     resolves the ridge); later levels refine the time panels only.
     """
-    t, wt = _panel_nodes(_t_edges(win, level))
+    t, wt = panel_nodes(_t_edges(win, level), _PANEL_ORDER)
     area = sphere_area(d)
     total = 0.0 + 0.0j
     margin = 12.0 * ridge_width
@@ -264,7 +232,7 @@ def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
         n_pan = max(6, int(math.ceil(reach / ridge_width))) * r_refine
         edges = np.linspace(0.0, reach, n_pan + 1)
         tail = _geom_edges(reach, 6.0 * reach, 6 * r_refine)
-        r, wr = _panel_nodes(np.concatenate([edges, tail[1:]]))
+        r, wr = panel_nodes(np.concatenate([edges, tail[1:]]), _PANEL_ORDER)
         row = F(np.array([ti]), r)[0]
         total += wi * np.dot(row * wr, r ** (d - 1))
     return area * total
@@ -327,22 +295,15 @@ def spacetime_integral(
     return value.real, float(err)
 
 
-def _closed_backed(ev) -> bool:
-    if isinstance(ev, (SumEvaluator,)):
-        return all(_closed_backed(part) for part in ev.parts)
-    if isinstance(ev, (ConjEvaluator, NegEvaluator)):
-        return _closed_backed(ev.base)
-    return bool(getattr(ev, "has_closed_form", False))
-
-
 def _pick_mode(evaluators, mode: str) -> str:
     """'auto' runs the cone-following driver when every factor is a
-    cheap closed-form kernel (per-row evaluation), else the shared-grid
-    rectangular driver (kernel matrices reused across a time block)."""
+    cheap closed-form wave kernel (per-row evaluation), else the
+    shared-grid rectangular driver (kernel matrices reused across a
+    time block)."""
     if mode != "auto":
         return mode
-    wave_like = all(getattr(ev, "family", WAVE) == WAVE for ev in evaluators)
-    return "cone" if wave_like and all(_closed_backed(ev) for ev in evaluators) else "rect"
+    cone = all(ev.family == WAVE and ev.has_closed_form for ev in evaluators)
+    return "cone" if cone else "rect"
 
 
 def product_field(evaluators):
@@ -364,10 +325,22 @@ def product_field(evaluators):
 
 
 def abs_power_field(evaluators):
+    prod = product_field(evaluators)
+
     def F(t, r):
-        return np.abs(product_field(evaluators)(t, r)) ** 2
+        return np.abs(prod(t, r)) ** 2
 
     return F
+
+
+def _integrate_fields(F, evaluators, window, rel_tol, mode, kw):
+    """Shared setup of the public drivers: the default window, driver
+    choice and ridge width all come from the factor fields."""
+    if window is None:
+        window = default_window(evaluators)
+    kw.setdefault("ridge_width", 0.5 * min(ev.decay for ev in evaluators))
+    return spacetime_integral(F, evaluators[0].d, window, rel_tol=rel_tol,
+                              mode=_pick_mode(evaluators, mode), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +360,13 @@ def lp_norm_radial(evaluator, p: int, window: Window = None, rel_tol: float = 1e
     # slice decays like t^{(d-1)(1-p/2)} (wave ridge) or t^{d(1-p/2)+d/2}
     # (dispersive spreading), so small p diverges in low dimension.
     d = evaluator.d
-    family = getattr(evaluator, "family", WAVE)
-    if family == WAVE and (d - 1) * (p / 2.0 - 1.0) <= 1.0:
+    if evaluator.family == WAVE and (d - 1) * (p / 2.0 - 1.0) <= 1.0:
         raise ValueError(f"||u||_{p} diverges for a single wave field in d = {d}")
-    if family == SCHRODINGER and d * (p / 2.0 - 1.0) <= 1.0:
+    if evaluator.family == SCHRODINGER and d * (p / 2.0 - 1.0) <= 1.0:
         raise ValueError(f"||u||_{p} diverges for a single field in d = {d}")
     evs = [evaluator] * (p // 2)
-    if window is None:
-        window = default_window([evaluator])
-    mode = _pick_mode(evs, mode)
-    kw.setdefault("ridge_width", 0.5 * evaluator.decay)
     kw.setdefault("nonneg", True)
-    val, err = spacetime_integral(abs_power_field(evs), evaluator.d, window,
-                                  rel_tol=rel_tol, mode=mode, **kw)
+    val, err = _integrate_fields(abs_power_field(evs), evs, window, rel_tol, mode, kw)
     if val <= 0:
         raise ValueError("norm integral came out non-positive")
     norm = val ** (1.0 / p)
@@ -409,28 +376,20 @@ def lp_norm_radial(evaluator, p: int, window: Window = None, rel_tol: float = 1e
 def product_l2_sq(evaluators, window: Window = None, rel_tol: float = 1e-6,
                   mode: str = "auto", **kw):
     """||prod_j u_j||_{L^2_{t,x}}^2 with error estimate."""
-    if window is None:
-        window = default_window(evaluators)
-    mode = _pick_mode(evaluators, mode)
-    kw.setdefault("ridge_width", 0.5 * min(ev.decay for ev in evaluators))
     kw.setdefault("nonneg", True)
-    return spacetime_integral(abs_power_field(evaluators), evaluators[0].d, window,
-                              rel_tol=rel_tol, mode=mode, **kw)
+    return _integrate_fields(abs_power_field(evaluators), evaluators, window, rel_tol, mode, kw)
 
 
 def spacetime_inner(evals_a, evals_b, window: Window = None, rel_tol: float = 1e-6,
                     mode: str = "auto", **kw):
     """< prod A, prod B >_{t,x} = int prod A conj(prod B); complex."""
-    combined = list(evals_a) + list(evals_b)
-    if window is None:
-        window = default_window(combined)
-    mode = _pick_mode(combined, mode)
-    kw.setdefault("ridge_width", 0.5 * min(ev.decay for ev in combined))
+    evals_a, evals_b = list(evals_a), list(evals_b)
+    prod_a, prod_b = product_field(evals_a), product_field(evals_b)
 
     def F(t, r):
-        return product_field(list(evals_a))(t, r) * np.conj(product_field(list(evals_b))(t, r))
+        return prod_a(t, r) * np.conj(prod_b(t, r))
 
-    return spacetime_integral(F, combined[0].d, window, rel_tol=rel_tol, mode=mode, **kw)
+    return _integrate_fields(F, evals_a + evals_b, window, rel_tol, mode, kw)
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +609,11 @@ def cross_term_gap(mode: str = "paper", a: float = -1.0, rel_tol: float = 1e-6,
     u0 = wave_profile(2, a, c=math.log(math.pi))
     ev_p = RadialEvaluator(u0)
     if mode == "paper":
-        ev_m = ConjEvaluator(ev_p)
+        ev_m = MappedEvaluator(ev_p, np.conj)
     elif mode == "coincident":
         ev_m = ev_p
     elif mode == "negated":
-        ev_m = NegEvaluator(ev_p)
+        ev_m = MappedEvaluator(ev_p, np.negative)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     win = default_window([ev_p], tail_factor=tail_factor)
@@ -952,7 +911,7 @@ def schro_identity_check(f1_hat=None, f2_hat=None, n: int = 4096, L: float = 160
     f1k = np.asarray(f1_hat(k), dtype=complex)
     f2k = np.asarray(f2_hat(k), dtype=complex)
 
-    t_nodes, t_weights = _panel_nodes(np.linspace(-t_half, t_half, nt_panels + 1))
+    t_nodes, t_weights = panel_nodes(np.linspace(-t_half, t_half, nt_panels + 1), _PANEL_ORDER)
     lhs = 0.0
     for t, wt in zip(t_nodes, t_weights):
         u1 = schro_fft_1d(g1, t, check_boundary=False).values

@@ -32,9 +32,14 @@ from scipy import special
 
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .profiles import ExtremalProfile
+from .quadrules import QuadratureError, leggauss
 
-_GL_NODES = 12
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+# Fixed geometry of the radial quadrature: at least 24 panels, two per
+# oscillation period, a tail cut 2/sigma past the certified radius, 48-row time blocks.
+_MIN_PANELS = 24
+_PANELS_PER_PERIOD = 2.0
+_TAIL_MARGIN = 2.0
+_T_BLOCK = 48
 
 
 def angular_kernel(d: int, s):
@@ -87,15 +92,12 @@ class QuadSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
     max_levels: int = 6
-    min_panels: int = 24
-    panels_per_period: float = 2.0
-    tail_margin: float = 2.0
 
 
 DEFAULT_QUAD = QuadSpec()
 
 
-def _truncation_radius(sigma: float, amp: float, d: int, abs_tol: float, margin: float) -> float:
+def _truncation_radius(sigma: float, amp: float, d: int, abs_tol: float) -> float:
     """R with |tail| < abs_tol for integrands bounded by amp e^{-sigma rho} rho^{d-2} A.
 
     Uses int_R^inf e^{-sigma rho} rho^{d-2} <= e^{-sigma R/2} Gamma(d-1) (2/sigma)^{d-1}.
@@ -106,14 +108,7 @@ def _truncation_radius(sigma: float, amp: float, d: int, abs_tol: float, margin:
         base = 1.0
     else:
         base = 2.0 * math.log(const / abs_tol) / sigma
-    return max(base, 10.0 / sigma) + margin / sigma
-
-
-class QuadratureFailure(RuntimeError):
-    def __init__(self, message, best=None, error=None):
-        super().__init__(message)
-        self.best = best
-        self.error = error
+    return max(base, 10.0 / sigma) + _TAIL_MARGIN / sigma
 
 
 def _chirp_log(amp: float, sigma: float, abs_tol: float) -> float:
@@ -163,11 +158,23 @@ class RadialEvaluator:
             self.family = family
             self.sign = sign
 
-    # -- closed forms ------------------------------------------------------
+    # -- field protocol ----------------------------------------------------
+
+    @property
+    def t_peaks(self):
+        """Times of the field's peak at the center (windows are centred on them)."""
+        p = self.profile
+        if p is None:
+            return [0.0]
+        if p.family == WAVE:
+            return [-p.sign * p.a.imag]
+        return [p.a.imag]
 
     @property
     def has_closed_form(self) -> bool:
         return self.profile is not None and self.method in ("auto", "closed_form")
+
+    # -- closed forms ------------------------------------------------------
 
     def _closed_form_grid(self, t, r):
         p = self.profile
@@ -189,23 +196,19 @@ class RadialEvaluator:
 
     def _truncation(self) -> float:
         if self.family == WAVE:
-            return _truncation_radius(
-                self.decay, self.amp_bound, self.d, self.quad.abs_tol, self.quad.tail_margin
-            )
+            return _truncation_radius(self.decay, self.amp_bound, self.d, self.quad.abs_tol)
         return math.sqrt(_chirp_log(self.amp_bound, self.decay, self.quad.abs_tol)) + 2.0
 
     def _rho_nodes(self, R: float, max_freq: float, level: int):
         periods = R * max(max_freq, 1e-9) / (2.0 * math.pi)
-        n_panels = max(
-            self.quad.min_panels,
-            int(math.ceil(periods * self.quad.panels_per_period)) + 8,
-        ) * (1 << level)
+        n_panels = max(_MIN_PANELS, int(math.ceil(periods * _PANELS_PER_PERIOD)) + 8)
+        n_panels <<= level
+        # Uniform 12-node panels: one scalar half-width serves every panel.
+        x, w = leggauss(12)
         edges = np.linspace(0.0, R, n_panels + 1)
         half = 0.5 * (edges[1] - edges[0])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        rho = (mid[:, None] + half * _gl_x[None, :]).ravel()
-        w = np.broadcast_to(half * _gl_w[None, :], (n_panels, _GL_NODES)).ravel().copy()
-        return rho, w
+        return (mid[:, None] + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
 
     def _quad_grid(self, t, r, level: int):
         t = np.asarray(t, dtype=float)
@@ -242,9 +245,9 @@ class RadialEvaluator:
             if np.all(err <= self.quad.rel_tol * scale + self.quad.abs_tol):
                 return (cur, err) if with_error else cur
             prev = cur
-        raise QuadratureFailure("radial quadrature did not converge", best=prev, error=err)
+        raise QuadratureError("radial quadrature did not converge", best=prev, error=err)
 
-    def eval_grid(self, t, r, with_error: bool = False, t_block: int = 48):
+    def eval_grid(self, t, r, with_error: bool = False):
         """u on the tensor grid t x r, adaptively refined by doubling.
 
         Quadrature grids are refined in blocks of time nodes grouped by
@@ -256,13 +259,13 @@ class RadialEvaluator:
         if self.has_closed_form:
             vals = self._closed_form_grid(t, r)
             return (vals, np.zeros(vals.shape)) if with_error else vals
-        if t.size <= t_block:
+        if t.size <= _T_BLOCK:
             return self._refine_block(t, r, with_error)
         order = np.argsort(np.abs(t))
         vals = np.empty((t.size, r.size), dtype=complex)
         errs = np.empty((t.size, r.size)) if with_error else None
-        for i0 in range(0, t.size, t_block):
-            idx = order[i0 : i0 + t_block]
+        for i0 in range(0, t.size, _T_BLOCK):
+            idx = order[i0 : i0 + _T_BLOCK]
             res = self._refine_block(t[idx], r, with_error)
             if with_error:
                 vals[idx], errs[idx] = res
@@ -275,10 +278,6 @@ class RadialEvaluator:
         if np.isscalar(t) and np.isscalar(r):
             return complex(vals[0, 0])
         return vals
-
-    def eval_with_error(self, t, r):
-        vals, err = self.eval_grid(np.atleast_1d(t), np.atleast_1d(r), with_error=True)
-        return complex(vals[0, 0]), float(err[0, 0])
 
 
 def wave_eval(p: ExtremalProfile, t: float, r: float, quad: QuadSpec = DEFAULT_QUAD,

@@ -1,4 +1,5 @@
-"""Cached Gauss-Legendre rules (node generation is O(n^2); reuse them)."""
+"""Cached Gauss-Legendre rules (node generation is O(n^2); reuse them)
+and the one exception every adaptive quadrature raises."""
 
 from __future__ import annotations
 
@@ -19,3 +20,22 @@ def gauss_nodes(n: int, lo: float, hi: float):
     """GL nodes/weights on [lo, hi]."""
     x, w = leggauss(n)
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
+
+
+def panel_nodes(edges, n: int):
+    """n-point GL nodes/weights on every panel between consecutive edges, flattened."""
+    x, w = leggauss(n)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return nodes, (half[:, None] * w[None, :]).ravel()
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature missed its tolerance; carries the best estimate
+    and, where one exists, its error estimate."""
+
+    def __init__(self, message, best=None, error=None):
+        super().__init__(message)
+        self.best = best
+        self.error = error

@@ -24,6 +24,7 @@ from scipy import optimize
 
 from .constants import WAVE, SCHRODINGER
 from . import functionals as FN
+from .quadrules import QuadratureError
 
 SUPPORTED_CASES = {
     (5, 2, WAVE): "wave d=5 quartic",
@@ -143,6 +144,8 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     merged restarts too); identical (seed, config) reruns produce
     bit-identical traces.  Exhausting the budget without meeting the
     simplex tolerance leaves terminated_by = 'budget' (partial result).
+    An evaluation whose quadrature fails scores quotient 0 and is counted
+    in diag['failed_evals']; any other error propagates.
     """
     objective = quotient_objective(d, k, family)
     rng = np.random.Generator(
@@ -150,7 +153,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     )
     trace = SearchTrace()
     best_theta, best_q = None, -math.inf
-    evals_used = 0
+    evals_used = failed_evals = 0
 
     for restart in range(config.restarts):
         if x0 is not None and restart == 0:
@@ -159,7 +162,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             start = np.zeros(config.m)
             start[0] = rng.normal(scale=0.5)
             start[1:] = rng.normal(scale=config.init_spread, size=config.m - 1)
-        counter = [0]
+        counter = [0, 0]  # evaluations, quadrature failures
         improvements = []
         run_best = [-math.inf]
 
@@ -169,7 +172,8 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
                 return 0.0
             try:
                 q = objective(AnsatzProfile(theta, d, family))
-            except Exception:
+            except QuadratureError:
+                counter[1] += 1
                 return 0.0
             if q > run_best[0]:
                 run_best[0] = q
@@ -188,6 +192,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             },
         )
         evals_used += counter[0]
+        failed_evals += counter[1]
         # Merge accepted improvements, keeping the global running maximum.
         for theta, q in improvements:
             if not trace.iterates or q >= trace.iterates[-1][1]:
@@ -204,6 +209,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     diag = exponential_fit_diagnostic(profile)
     diag["best_quotient"] = best_q
     diag["evaluations"] = evals_used
+    diag["failed_evals"] = failed_evals
     return profile, trace, diag
 
 

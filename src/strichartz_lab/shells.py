@@ -30,10 +30,12 @@ from .constants import (
 )
 from .geometry import ConePoint
 from .mc import McEstimate, mc_mean
+from .quadrules import QuadratureError
 
 CLOSED_FORM = "closed_form"
 RECURSION = "recursion"
 MONTE_CARLO = "monte_carlo"
+MIN_MC_SAMPLES = 10**4
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,6 @@ class ShellResult:
                 raise ValueError("monte_carlo results need stderr >= 0")
         elif self.stderr != 0.0:
             raise ValueError("deterministic methods carry stderr = 0")
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested
-    tolerance; carries the best estimate."""
-
-    def __init__(self, message, best):
-        super().__init__(message)
-        self.best = best
 
 
 def _require_interior(p: ConePoint):
@@ -135,6 +128,7 @@ def _radial_recursion_integral(d: int, alpha: Fraction, tol: float) -> float:
         raise QuadratureError(
             f"recursion quadrature stalled at relative error {err / abs(value):.2e}",
             best=value,
+            error=err,
         )
     return value
 
@@ -182,7 +176,7 @@ def itilde_montecarlo(
     _require_interior(p)
     if epsilon <= 0:
         raise ValueError("need a positive smoothing width")
-    if n_samples < 10**4:
+    if n_samples < MIN_MC_SAMPLES:
         raise ValueError("need n_samples >= 1e4")
     tau, xi = p.tau, np.asarray(p.xi, dtype=float)
     rate = k * (d - 1) / tau

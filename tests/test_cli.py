@@ -96,3 +96,16 @@ def test_schrodinger_identity_suite():
 
 def test_audit_suite():
     assert run(["audit", "--seed", "5"]) == 0
+
+
+def test_shells_too_few_samples_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        run(["shells", "--samples", "100"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("point", ["1,0,0", "1,x,0,0", "0.5,1,0,0"])
+def test_shells_bad_point_exits_2(point):
+    with pytest.raises(SystemExit) as exc:
+        run(["shells", "--d", "3", "--point", point])
+    assert exc.value.code == 2

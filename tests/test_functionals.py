@@ -328,3 +328,18 @@ def test_quotient_report_strictness_threshold():
     assert rep.strict()
     noisy = FN.QuotientReport(lhs=0.9, lhs_err=0.05, rhs=1.0, rhs_err=0.0, constant=1.0)
     assert not noisy.strict()
+
+
+def test_field_wrappers_share_the_base_protocol():
+    ev = PR.RadialEvaluator(P.wave_profile(2, -1.0 + 0.3j, c=0.2))
+    t, r = np.array([-1.0, 0.5]), np.array([0.0, 2.0])
+    for fn in (np.conj, np.negative):
+        mapped = FN.MappedEvaluator(ev, fn)
+        assert mapped.t_peaks == ev.t_peaks
+        assert mapped.has_closed_form == ev.has_closed_form
+        assert mapped.family == ev.family
+        assert mapped.decay == ev.decay
+        assert np.array_equal(mapped.eval_grid(t, r), fn(ev.eval_grid(t, r)))
+    fp, fm = P.canonical_energy_pair()
+    u = FN.SumEvaluator(PR.RadialEvaluator(fp), PR.RadialEvaluator(fm))
+    assert FN._pick_mode([u, u], "auto") == "cone"

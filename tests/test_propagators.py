@@ -9,6 +9,7 @@ from scipy import integrate, special
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import sphere_area
+from strichartz_lab.quadrules import QuadratureError
 
 
 def test_angular_kernel_values():
@@ -210,3 +211,16 @@ def test_dump_samples_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,r,re_u,im_u"
     assert len(lines) == 5
+
+
+def test_unconverged_quadrature_raises_with_best_and_error():
+    p = P.wave_profile(3, -1.0)
+    ev = PR.RadialEvaluator(p, method="quadrature",
+                            quad=PR.QuadSpec(rel_tol=1e-17, abs_tol=1e-40, max_levels=1))
+    ts, rs = np.array([0.0, 1.5]), np.array([0.5, 2.0])
+    with pytest.raises(QuadratureError) as exc:
+        ev.eval_grid(ts, rs)
+    best, error = exc.value.best, exc.value.error
+    assert best.shape == error.shape == (2, 2)
+    assert np.allclose(best, PR.RadialEvaluator(p).eval_grid(ts, rs), rtol=1e-8, atol=0.0)
+    assert np.all(error >= 0.0) and np.max(error) > 0.0

@@ -1,6 +1,7 @@
 """Extremizer search: ansatz, objectives, traces, symmetry audits."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 import strichartz_lab.search as S
 from strichartz_lab.constants import SCHRODINGER, WAVE
+from strichartz_lab.quadrules import QuadratureError
 
 
 def test_ansatz_profile_basics():
@@ -114,3 +116,32 @@ def test_symmetry_invariance_audit_mixed_norm():
         lambda p: FN.mixed_norm_quotient(p).ratio,
     )
     assert galilean["max_change"] > 1e-3
+
+
+def test_search_counts_quadrature_failures_and_propagates_other_errors(monkeypatch):
+    outcomes, values = [], []
+
+    def objective(d, k, family):
+        def evaluate(profile):
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        return evaluate
+
+    def minimize(fun, x0, **kwargs):
+        values.extend(fun(x0) for _ in range(2))
+        return SimpleNamespace(success=True)
+
+    monkeypatch.setattr(S, "quotient_objective", objective)
+    monkeypatch.setattr(S, "optimize", SimpleNamespace(minimize=minimize))
+    cfg = S.SearchConfig(budget=2, seed=0, restarts=1, m=3)
+    outcomes[:] = [QuadratureError("stalled", best=0.3, error=1.0), 0.8]
+    _, trace, diag = S.search(4, 2, SCHRODINGER, cfg)
+    assert values == [0.0, -0.8]
+    assert diag["failed_evals"] == 1 and diag["evaluations"] == 2
+    assert trace.quotients == [0.8]
+    outcomes[:] = [ValueError("not a quadrature failure")]
+    with pytest.raises(ValueError, match="not a quadrature failure"):
+        S.search(4, 2, SCHRODINGER, cfg)
