@@ -22,7 +22,7 @@ from . import constants as C
 from . import functionals as FN
 from . import profiles as P
 from . import propagators as PR
-from .search import SearchConfig, search as run_search, trace_to_csv
+from .search import SUPPORTED_CASES, SearchConfig, search as run_search, trace_to_csv
 from . import shells as SH
 from .geometry import ConePoint, boost_matrix, galilean_map, lorentz_boost, minkowski_form
 
@@ -115,6 +115,21 @@ def suite_shells(args):
     ]
 
 
+def _check_bilinear(args):
+    """ValueError unless the bilinear flags name a k-linear wave estimate
+    with a finite Monte Carlo error bar."""
+    d, k = args.d or 5, args.k or 2
+    if d < 2:
+        raise ValueError(f"bilinear needs --d >= 2, got {d}")
+    if k < 2:
+        raise ValueError(f"bilinear needs --k >= 2 (a k-linear estimate), got {k}")
+    if args.samples < 2:
+        raise ValueError(f"bilinear needs --samples >= 2 for a Monte Carlo error bar, "
+                         f"got {args.samples}")
+    if args.random_cases < 0:
+        raise ValueError(f"--random-cases must be >= 0, got {args.random_cases}")
+
+
 def suite_bilinear(args):
     """Sharp k-linear wave inequality: extremal ratio 1, random ratios < 1."""
     d, k = args.d or 5, args.k or 2
@@ -150,6 +165,13 @@ def suite_bilinear(args):
                   ratio <= 1.0 + band, stderr=rhs.stderr, seed=args.seed + trial + 1)
         )
     return cases
+
+
+def _check_corollary(args):
+    d = args.d or 5
+    if d not in C.WAVE_ALPHA1_DEGREE:
+        raise ValueError(f"corollary needs --d in {sorted(C.WAVE_ALPHA1_DEGREE)} "
+                         f"(the one-function cases), got {d}")
 
 
 def suite_corollary(args):
@@ -197,6 +219,17 @@ def suite_schro_identity(args):
     case2 = _case("schrodinger-identity", "mixed_norm_gaussian_d4", mixed.lhs, mixed.rhs,
                   mixed.constant, abs(mixed.deficit) < 1e-4)
     return [case, case2]
+
+
+def _check_search(args):
+    case = (args.d or 4, args.k or 2, args.family or C.SCHRODINGER)
+    if case not in SUPPORTED_CASES:
+        raise ValueError(f"search supports (d, k, family) in {sorted(SUPPORTED_CASES)}, "
+                         f"got {case}")
+    if args.budget < 1:
+        raise ValueError(f"search needs --budget >= 1, got {args.budget}")
+    if args.restarts < 1:
+        raise ValueError(f"search needs --restarts >= 1, got {args.restarts}")
 
 
 def suite_search(args):
@@ -283,6 +316,14 @@ def suite_audit(args):
     return cases
 
 
+# Flag checks run before any suite, so a usage error exits 2 up front.
+CHECKS = {
+    "shells": _shells_point,
+    "bilinear": _check_bilinear,
+    "corollary": _check_corollary,
+    "search": _check_search,
+}
+
 SUITES = {
     "constants": suite_constants,
     "shells": suite_shells,
@@ -342,14 +383,15 @@ def main(argv=None):
             if getattr(args, key) == ap.get_default(key):  # flag not explicitly set
                 caster = actions[key].type or str
                 setattr(args, key, caster(val))
-    if args.command in ("shells", "all"):
-        try:
-            _shells_point(args)
-        except ValueError as exc:
-            ap.error(str(exc))
+    names = list(SUITES) if args.command == "all" else [args.command]
+    try:
+        for name in names:
+            if name in CHECKS:
+                CHECKS[name](args)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     started = time.time()
-    names = list(SUITES) if args.command == "all" else [args.command]
     cases = []
     for name in names:
         cases.extend(SUITES[name](args))

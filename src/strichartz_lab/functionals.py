@@ -101,13 +101,16 @@ def json_line(obj: dict) -> str:
 # ---------------------------------------------------------------------------
 # Composite fields
 #
-# A space-time field exposes d, decay, family, t_peaks, has_closed_form
-# and eval_grid(t, r); RadialEvaluator is the base field, and the
-# drivers below read nothing else.
+# A space-time field exposes d, decay, family, t_peaks, has_closed_form,
+# has_modulus_kernel and eval_grid(t, r, modulus=False); RadialEvaluator
+# is the base field, and the drivers below read nothing else.  Fields
+# without a modulus kernel return np.abs(u) ** 2 for modulus=True.
 
 
 class SumEvaluator:
     """Pointwise sum of co-centred radial fields of one family (e.g. u_+ + u_-)."""
+
+    has_modulus_kernel = False
 
     def __init__(self, *evaluators):
         self.parts = evaluators
@@ -117,16 +120,18 @@ class SumEvaluator:
         self.t_peaks = [t for ev in evaluators for t in ev.t_peaks]
         self.has_closed_form = all(ev.has_closed_form for ev in evaluators)
 
-    def eval_grid(self, t, r):
+    def eval_grid(self, t, r, modulus: bool = False):
         out = self.parts[0].eval_grid(t, r)
         for ev in self.parts[1:]:
             out = out + ev.eval_grid(t, r)
-        return out
+        return np.abs(out) ** 2 if modulus else out
 
 
 class MappedEvaluator:
     """Pointwise map of one field, e.g. np.conj (same modulus, reversed
     phases) or np.negative; everything but the values is the base's."""
+
+    has_modulus_kernel = False
 
     def __init__(self, base, fn):
         self.base = base
@@ -134,8 +139,9 @@ class MappedEvaluator:
         self.d, self.family, self.decay = base.d, base.family, base.decay
         self.t_peaks, self.has_closed_form = base.t_peaks, base.has_closed_form
 
-    def eval_grid(self, t, r):
-        return self.fn(self.base.eval_grid(t, r))
+    def eval_grid(self, t, r, modulus: bool = False):
+        out = self.fn(self.base.eval_grid(t, r))
+        return np.abs(out) ** 2 if modulus else out
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +312,9 @@ def _pick_mode(evaluators, mode: str) -> str:
     return "cone" if cone else "rect"
 
 
-def product_field(evaluators):
-    """F(t, r) = prod_j u_j(t, r); repeated evaluators are evaluated once
-    per grid and reused."""
+def product_field(evaluators, modulus: bool = False):
+    """F(t, r) = prod_j u_j(t, r), or prod_j |u_j(t, r)|^2 with modulus;
+    repeated evaluators are evaluated once per grid and reused."""
 
     def F(t, r):
         cache = {}
@@ -316,7 +322,7 @@ def product_field(evaluators):
         for ev in evaluators:
             key = id(ev)
             if key not in cache:
-                cache[key] = ev.eval_grid(t, r)
+                cache[key] = ev.eval_grid(t, r, modulus=modulus)
             g = cache[key]
             out = g if out is None else out * g
         return out
@@ -325,10 +331,19 @@ def product_field(evaluators):
 
 
 def abs_power_field(evaluators):
-    prod = product_field(evaluators)
+    """F(t, r) = |prod_j u_j(t, r)|^2.  Factors with a modulus kernel
+    contribute their real |u_j|^2; the others are multiplied as complex
+    values and squared once, which keeps their norms bit for bit
+    (|u|^2 |u|^2 and |u u|^2 differ in the last bit)."""
+    real = [ev for ev in evaluators if ev.has_modulus_kernel]
+    other = [ev for ev in evaluators if not ev.has_modulus_kernel]
+    moduli, values = product_field(real, modulus=True), product_field(other)
 
     def F(t, r):
-        return np.abs(prod(t, r)) ** 2
+        if not other:
+            return moduli(t, r)
+        out = np.abs(values(t, r)) ** 2
+        return moduli(t, r) * out if real else out
 
     return F
 

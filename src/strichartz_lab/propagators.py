@@ -15,7 +15,9 @@ agree.  For the exponential family the integral is also elementary,
     u(t, r) = e^c kappa_d ((-(a + i s t))^2 + r^2)^{-(d-1)/2},
     kappa_d = Gamma((d+1)/2) / ((d-1) pi^{(d+1)/2}),
 
-which serves as a fast exact path and as the cross-check oracle.
+which serves as a fast exact path and as the cross-check oracle.  Its
+modulus |u|^2 = e^{2 Re c} kappa_d^2 |(-(a + i s t))^2 + r^2|^{-(d-1)} is
+evaluated in real arithmetic, for norms that need only |u|^2.
 
 Schrodinger side: Gaussian data evolve in closed form; a 1-D FFT grid
 propagator covers the separated-support identity test; and a radial
@@ -111,6 +113,19 @@ def _truncation_radius(sigma: float, amp: float, d: int, abs_tol: float) -> floa
     return max(base, 10.0 / sigma) + _TAIL_MARGIN / sigma
 
 
+def _inv_half_power(x, n: int):
+    """x ** (-n / 2) from one integer-valued power and at most one square root.
+
+    No complex log/exp: for x off the negative real axis this is the
+    principal branch, and for even n it is the old x ** (-n / 2) bit for bit.
+    """
+    m, odd = divmod(n, 2)
+    if not odd:
+        return x ** float(-m)
+    root = np.sqrt(x)
+    return 1.0 / root if m == 0 else x ** float(-m) / root
+
+
 def _chirp_log(amp: float, sigma: float, abs_tol: float) -> float:
     """rho^2-scale L with amp * exp(-sigma L) below tolerance."""
     return max(math.log(max(amp, 1.0) / abs_tol) / sigma, 4.0 / sigma)
@@ -174,23 +189,43 @@ class RadialEvaluator:
     def has_closed_form(self) -> bool:
         return self.profile is not None and self.method in ("auto", "closed_form")
 
+    @property
+    def has_modulus_kernel(self) -> bool:
+        """|u|^2 comes from real arithmetic, without the complex field."""
+        return self.has_closed_form and self.family == WAVE
+
     # -- closed forms ------------------------------------------------------
+
+    def _wave_z2(self, t):
+        """z^2 on a time column, z = -(a + i s t) in the right half-plane."""
+        z = -(self.profile.a + 1j * self.sign * np.asarray(t, dtype=float)[:, None])
+        return z * z
 
     def _closed_form_grid(self, t, r):
         p = self.profile
-        t = np.asarray(t, dtype=float)[:, None]
         r = np.asarray(r, dtype=float)[None, :]
         if self.family == WAVE:
-            z = -(p.a + 1j * self.sign * t)  # right half-plane
-            base = z * z + r * r
-            return np.exp(p.c) * closed_form_kappa(p.d) * base ** (-(p.d - 1) / 2.0)
-        w = 1j * t - p.a
+            base = self._wave_z2(t) + r * r
+            return np.exp(p.c) * closed_form_kappa(p.d) * _inv_half_power(base, p.d - 1)
+        w = 1j * np.asarray(t, dtype=float)[:, None] - p.a
         return (
             (2.0 * math.pi) ** (-p.d)
             * np.exp(p.c)
             * (math.pi / w) ** (0.5 * p.d)
             * np.exp(-r * r / (4.0 * w))
         )
+
+    def _closed_form_abs2(self, t, r):
+        """|u|^2 of the wave closed form in real arithmetic: only the time
+        column is complex, and q = |z^2 + r^2|^2 is built from its parts."""
+        p = self.profile
+        z2 = self._wave_z2(t)
+        q = z2.real + np.asarray(r, dtype=float)[None, :] ** 2
+        q *= q
+        q += z2.imag ** 2
+        out = _inv_half_power(q, p.d - 1)
+        out *= math.exp(2.0 * p.c.real) * closed_form_kappa(p.d) ** 2
+        return out
 
     # -- quadrature ---------------------------------------------------------
 
@@ -235,7 +270,7 @@ class RadialEvaluator:
             out[:, sl] = osc @ (core[:, None] * kernel)
         return out / (2.0 * math.pi) ** self.d
 
-    def _refine_block(self, t, r, with_error: bool):
+    def _refine_block(self, t, r):
         prev = self._quad_grid(t, r, 0)
         err = None
         for level in range(1, self.quad.max_levels + 1):
@@ -243,12 +278,13 @@ class RadialEvaluator:
             err = np.abs(cur - prev)
             scale = np.maximum(np.abs(cur), self.quad.abs_tol / self.quad.rel_tol)
             if np.all(err <= self.quad.rel_tol * scale + self.quad.abs_tol):
-                return (cur, err) if with_error else cur
+                return cur, err
             prev = cur
         raise QuadratureError("radial quadrature did not converge", best=prev, error=err)
 
-    def eval_grid(self, t, r, with_error: bool = False):
-        """u on the tensor grid t x r, adaptively refined by doubling.
+    def eval_grid(self, t, r, with_error: bool = False, modulus: bool = False):
+        """u on the tensor grid t x r, adaptively refined by doubling;
+        |u|^2 with modulus=True (an error e of u bounds |u|^2 by e (2|u| + e)).
 
         Quadrature grids are refined in blocks of time nodes grouped by
         |t|, so small-|t| rows never pay for the oscillation rate of the
@@ -257,20 +293,28 @@ class RadialEvaluator:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if self.has_closed_form:
-            vals = self._closed_form_grid(t, r)
+            if modulus and self.has_modulus_kernel:
+                vals = self._closed_form_abs2(t, r)
+            else:
+                vals = self._closed_form_grid(t, r)
+                if modulus:
+                    vals = np.abs(vals) ** 2
             return (vals, np.zeros(vals.shape)) if with_error else vals
         if t.size <= _T_BLOCK:
-            return self._refine_block(t, r, with_error)
-        order = np.argsort(np.abs(t))
-        vals = np.empty((t.size, r.size), dtype=complex)
-        errs = np.empty((t.size, r.size)) if with_error else None
-        for i0 in range(0, t.size, _T_BLOCK):
-            idx = order[i0 : i0 + _T_BLOCK]
-            res = self._refine_block(t[idx], r, with_error)
+            vals, errs = self._refine_block(t, r)
+        else:
+            order = np.argsort(np.abs(t))
+            vals = np.empty((t.size, r.size), dtype=complex)
+            errs = np.empty((t.size, r.size)) if with_error else None
+            for i0 in range(0, t.size, _T_BLOCK):
+                idx = order[i0 : i0 + _T_BLOCK]
+                vals[idx], err = self._refine_block(t[idx], r)
+                if with_error:
+                    errs[idx] = err
+        if modulus:
             if with_error:
-                vals[idx], errs[idx] = res
-            else:
-                vals[idx] = res
+                errs = errs * (2.0 * np.abs(vals) + errs)
+            vals = np.abs(vals) ** 2
         return (vals, errs) if with_error else vals
 
     def __call__(self, t, r):

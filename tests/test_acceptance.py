@@ -118,7 +118,7 @@ def test_criterion_04_mixed_norm_gaussian_and_perturbed():
               f"{time.time() - t0:.1f}s")
 
 
-def test_criterion_05_quartic_norm_d5():
+def test_criterion_05_quartic_norm_d5(nested_quartic_d5):
     t0 = time.time()
     target = 1.0 / (6144.0 * math.pi ** 8)
     prof = P.wave_profile(5, -1.0)
@@ -127,11 +127,7 @@ def test_criterion_05_quartic_norm_d5():
     assert abs(val - target) <= 5e-3 * target
     # Independent oracle path: the full nested oscillatory quadrature on
     # the same window must agree with the closed-kernel route.
-    evq = PR.RadialEvaluator(prof, method="quadrature",
-                             quad=PR.QuadSpec(rel_tol=1e-6, abs_tol=1e-11))
-    win = FN.default_window([ev], tail_factor=4.0)
-    val_q, _ = FN.product_l2_sq([evq, evq], window=win, rel_tol=3e-4,
-                                mode="rect", check_window=False, max_levels=3)
+    val_q, _ = nested_quartic_d5
     assert abs(val_q - target) <= 5e-3 * target
     rep = FN.onesided_quotient(prof)
     assert abs(rep.deficit) < 5e-3
@@ -216,14 +212,14 @@ def test_criterion_08_term_II_decomposition():
               f"{time.time() - t0:.0f}s")
 
 
-def test_criterion_09_remark_strict_cauchy_schwarz():
+def test_criterion_09_remark_strict_cauchy_schwarz(cross_term_gaps):
     t0 = time.time()
-    gap = FN.cross_term_gap("paper")
+    gap = cross_term_gaps["paper"]
     margin = 1.0 - gap["ratio"]
     assert margin > 10.0 * gap["err"]
-    coin = FN.cross_term_gap("coincident")
+    coin = cross_term_gaps["coincident"]
     assert abs(coin["ratio"] - 1.0) <= 1e-6
-    neg = FN.cross_term_gap("negated")
+    neg = cross_term_gaps["negated"]
     assert abs(neg["ratio"] - 1.0) <= 1e-6
     report(9, f"ratio {gap['ratio']:.6f} (margin {margin:.3f} vs err "
               f"{gap['err']:.1e}); controls at 1, {time.time() - t0:.0f}s")

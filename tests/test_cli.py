@@ -109,3 +109,23 @@ def test_shells_bad_point_exits_2(point):
     with pytest.raises(SystemExit) as exc:
         run(["shells", "--d", "3", "--point", point])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bilinear", "--k", "1"], "bilinear needs --k >= 2"),
+    (["bilinear", "--d", "1"], "bilinear needs --d >= 2"),
+    (["bilinear", "--samples", "0", "--random-cases", "0"], "bilinear needs --samples >= 2"),
+    (["bilinear", "--random-cases", "-1"], "--random-cases must be >= 0"),
+    (["corollary", "--d", "4"], "corollary needs --d in [2, 3, 5]"),
+    (["search", "--budget", "0"], "search needs --budget >= 1"),
+    (["search", "--restarts", "0"], "search needs --restarts >= 1"),
+    (["search", "--d", "3"], "search supports (d, k, family)"),
+    (["all", "--d", "4"], "corollary needs --d in [2, 3, 5]"),
+])
+def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "cases passed" not in captured.out

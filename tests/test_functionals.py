@@ -56,14 +56,11 @@ def test_d3_sextic_equals_sobolev_product():
     assert n6 ** 6 == pytest.approx(3.0 / (16.0 * math.pi ** 3) * H * E * E, rel=1e-6)
 
 
-def test_quadrature_method_matches_closed_kernel_route(ev5):
+def test_quadrature_method_matches_closed_kernel_route(ev5, nested_quartic_d5):
     win = FN.default_window([ev5], tail_factor=4.0)
     ref, _ = FN.product_l2_sq([ev5, ev5], window=win, rel_tol=1e-8,
                               mode="cone", check_window=False)
-    evq = PR.RadialEvaluator(P.wave_profile(5, -1.0), method="quadrature",
-                             quad=PR.QuadSpec(rel_tol=1e-6, abs_tol=1e-11))
-    got, err = FN.product_l2_sq([evq, evq], window=win, rel_tol=3e-4,
-                                mode="rect", check_window=False, max_levels=3)
+    got, err = nested_quartic_d5
     assert got == pytest.approx(ref, rel=2e-4)
 
 
@@ -243,12 +240,12 @@ def test_basic_inequality_strict_off_diagonal():
     assert 2 * (X ** 2 + Y ** 2 + 4 * X * Y) < 3 * (X + Y) ** 2
 
 
-def test_cross_term_gap_modes():
-    gap = FN.cross_term_gap("paper")
+def test_cross_term_gap_modes(cross_term_gaps):
+    gap = cross_term_gaps["paper"]
     assert gap["ratio"] < 1.0 - 10.0 * gap["err"]
-    coin = FN.cross_term_gap("coincident")
+    coin = cross_term_gaps["coincident"]
     assert coin["ratio"] == pytest.approx(1.0, abs=1e-6)
-    neg = FN.cross_term_gap("negated")
+    neg = cross_term_gaps["negated"]
     assert neg["ratio"] == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         FN.cross_term_gap("sideways")
@@ -343,3 +340,20 @@ def test_field_wrappers_share_the_base_protocol():
     fp, fm = P.canonical_energy_pair()
     u = FN.SumEvaluator(PR.RadialEvaluator(fp), PR.RadialEvaluator(fm))
     assert FN._pick_mode([u, u], "auto") == "cone"
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_modulus_route_matches_complex_inner_product(d):
+    # Same driver and nodes: the squared norm through the real modulus
+    # kernel against <prod u, prod u> through the complex fields.
+    rng = np.random.default_rng(100 + d)
+    evs = [
+        PR.RadialEvaluator(P.wave_profile(
+            d, complex(-math.exp(0.3 * rng.normal()), 0.35 * rng.normal()),
+            c=complex(0.3 * rng.normal(), math.pi * rng.random())))
+        for _ in range(2)
+    ]
+    assert all(ev.has_modulus_kernel for ev in evs)
+    lhs, _ = FN.product_l2_sq(evs)
+    inner, _ = FN.spacetime_inner(evs, evs, nonneg=True)
+    assert inner.real == pytest.approx(lhs, rel=1e-12)

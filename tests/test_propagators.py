@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import sphere_area
@@ -26,8 +29,6 @@ def test_angular_kernel_values():
 
 def test_angular_kernel_series_and_elementary_branches_agree():
     # Both branches against |S^{d-1}| 0F1(d/2; -s^2/4) around the cutoff.
-    import mpmath
-
     mpmath.mp.dps = 30
     for d in (2, 3, 4, 5):
         for s in (0.049, 0.051, 0.2):
@@ -224,3 +225,71 @@ def test_unconverged_quadrature_raises_with_best_and_error():
     assert best.shape == error.shape == (2, 2)
     assert np.allclose(best, PR.RadialEvaluator(p).eval_grid(ts, rs), rtol=1e-8, atol=0.0)
     assert np.all(error >= 0.0) and np.max(error) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4, 5]),
+    sign=st.sampled_from([1, -1]),
+    sigma=st.floats(0.05, 5.0),
+    shift=st.floats(-5.0, 5.0),
+    c=st.complex_numbers(max_magnitude=3.0),
+    dt=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+    r_far=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=3),
+)
+def test_closed_wave_kernels_match_modulus_and_principal_power(d, sign, sigma, shift, c,
+                                                               dt, r_far):
+    p = P.wave_profile(d, complex(-sigma, shift), c=c, sign=sign)
+    ev = PR.RadialEvaluator(p)
+    t_peak = ev.t_peaks[0]
+    t = t_peak + np.array(dt)
+    ridge = np.abs(t - t_peak)  # the travelling peak sits at r = |t - t_peak|
+    r = np.concatenate([ridge, ridge * (1.0 + 1e-9), r_far])
+    u = ev.eval_grid(t, r)
+    abs2 = ev.eval_grid(t, r, modulus=True)
+    assert abs2.dtype == float
+    assert np.max(np.abs(abs2 / np.abs(u) ** 2 - 1.0)) <= 1e-14
+    # Integer powers and one square root against the exact principal
+    # power of the same base.
+    z = -(p.a + 1j * sign * t[:, None])
+    base = z * z + r[None, :] ** 2
+    with mpmath.workdps(40):
+        scale = mpmath.exp(mpmath.mpc(p.c)) * PR.closed_form_kappa(d)
+        worst = max(
+            float(abs(mpmath.mpc(got) / (scale * mpmath.power(mpmath.mpc(b), -(d - 1) / 2.0)) - 1))
+            for got, b in zip(u.ravel(), base.ravel())
+        )
+    assert worst <= 4e-15
+
+
+def _fields_without_modulus_kernel():
+    wave = PR.RadialEvaluator(P.wave_profile(3, -1.0 + 0.4j, c=0.1))
+    quad = PR.RadialEvaluator(P.wave_profile(3, -1.0 + 0.4j, c=0.1), method="quadrature",
+                              quad=PR.QuadSpec(rel_tol=1e-6, abs_tol=1e-10))
+    schro = PR.RadialEvaluator(P.schrodinger_profile(3, -1.0 + 0.3j, c=0.2j))
+    fp, fm = P.canonical_energy_pair()
+    return {
+        "quadrature": quad,
+        "schrodinger": schro,
+        "sum": FN.SumEvaluator(PR.RadialEvaluator(fp), PR.RadialEvaluator(fm)),
+        "conj": FN.MappedEvaluator(wave, np.conj),
+        "negated": FN.MappedEvaluator(wave, np.negative),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fields_without_modulus_kernel()))
+def test_fields_without_modulus_kernel_return_abs_squared(name):
+    ev = _fields_without_modulus_kernel()[name]
+    t, r = np.linspace(-3.0, 3.0, 5), np.linspace(0.0, 6.0, 4)
+    assert not ev.has_modulus_kernel
+    assert np.array_equal(ev.eval_grid(t, r, modulus=True), np.abs(ev.eval_grid(t, r)) ** 2)
+
+
+def test_modulus_of_quadrature_field_carries_a_bound():
+    p = P.wave_profile(3, -1.0 + 0.4j, c=0.1)
+    loose = PR.RadialEvaluator(p, method="quadrature",
+                               quad=PR.QuadSpec(rel_tol=1e-6, abs_tol=1e-10))
+    t, r = np.linspace(-3.0, 3.0, 60), np.linspace(0.0, 6.0, 6)  # two time blocks
+    abs2, err = loose.eval_grid(t, r, with_error=True, modulus=True)
+    exact = PR.RadialEvaluator(p).eval_grid(t, r, modulus=True)
+    assert np.all(np.abs(abs2 - exact) <= err + 1e-12)
