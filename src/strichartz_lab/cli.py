@@ -22,9 +22,10 @@ from . import constants as C
 from . import functionals as FN
 from . import profiles as P
 from . import propagators as PR
-from .search import SUPPORTED_CASES, SearchConfig, search as run_search, trace_to_csv
+from .search import (SUPPORTED_CASES, SearchConfig, search as run_search,
+                     symmetry_invariance_audit, trace_to_csv)
 from . import shells as SH
-from .geometry import ConePoint, boost_matrix, galilean_map, lorentz_boost, minkowski_form
+from .geometry import ConePoint, boost_defects, paraboloid_defect
 
 
 def _case(suite, case_id, lhs, rhs, constant, ok, stderr=0.0, seed=0, **extra):
@@ -60,8 +61,9 @@ def suite_constants(args):
                     continue
                 const = scale.sharp_constant
                 if fam == C.WAVE:
-                    # k-linear formula evaluated at this k must match.
-                    alt = math.exp(C.log_wave_sharp_constant(d, k))
+                    # W(d,k) = (2pi)^{1-d(2k-1)} I_k, the weighted shell constant.
+                    alt = ((2.0 * math.pi) ** (1 - d * (2 * k - 1))
+                           * SH.i_weighted(d, k, ConePoint(1.0, np.zeros(d))).value)
                 else:
                     alt = math.exp(C.log_schrodinger_sharp_constant_klinear(d, k))
                 ok = abs(const - alt) <= 1e-12 * const
@@ -134,18 +136,7 @@ def suite_bilinear(args):
     """Sharp k-linear wave inequality: extremal ratio 1, random ratios < 1."""
     d, k = args.d or 5, args.k or 2
     rng = np.random.Generator(np.random.Philox(key=np.array([np.uint64(args.seed), np.uint64(1)])))
-    cases = []
-    const = C.wave_sharp_constant(d, k)
-    profiles = [P.wave_profile(d, -1.0, c=0.1 * j) for j in range(k)]
-    evs = [PR.RadialEvaluator(p) for p in profiles]
-    lhs, lerr = FN.product_l2_sq(evs)
-    rhs = FN.multilinear_rhs(profiles, n_samples=args.samples, seed=args.seed)
-    band = 3.0 * (rhs.stderr / rhs.mean + lerr / lhs)
-    ratio = lhs / (const * rhs.mean)
-    cases.append(
-        _case("bilinear", f"extremal_d{d}_k{k}", lhs, rhs.mean, const,
-              abs(ratio - 1.0) <= band, stderr=rhs.stderr, seed=args.seed)
-    )
+    tuples = [("extremal", [P.wave_profile(d, -1.0, c=0.1 * j) for j in range(k)], args.seed)]
     for trial in range(args.random_cases):
         profs = [
             P.wave_profile(
@@ -155,15 +146,14 @@ def suite_bilinear(args):
             )
             for _ in range(k)
         ]
-        evs = [PR.RadialEvaluator(p) for p in profs]
-        lhs, lerr = FN.product_l2_sq(evs)
-        rhs = FN.multilinear_rhs(profs, n_samples=args.samples, seed=args.seed + trial + 1)
-        band = 3.0 * (rhs.stderr / rhs.mean + lerr / lhs)
-        ratio = lhs / (const * rhs.mean)
-        cases.append(
-            _case("bilinear", f"random{trial}_d{d}_k{k}", lhs, rhs.mean, const,
-                  ratio <= 1.0 + band, stderr=rhs.stderr, seed=args.seed + trial + 1)
-        )
+        tuples.append((f"random{trial}", profs, args.seed + trial + 1))
+    cases = []
+    for name, profs, seed in tuples:
+        rep = FN.multilinear_quotient(profs, args.samples, seed)
+        band = 3.0 * rep.combined_err
+        ok = abs(rep.ratio - 1.0) <= band if name == "extremal" else rep.ratio <= 1.0 + band
+        cases.append(_case("bilinear", f"{name}_d{d}_k{k}", rep.lhs, rep.rhs, rep.constant, ok,
+                           stderr=rep.rhs_err, seed=seed))
     return cases
 
 
@@ -212,7 +202,7 @@ def suite_corollary(args):
 
 
 def suite_schro_identity(args):
-    res = FN.schro_identity_check(n=args.grid, t_half=3.0)
+    res = FN.schro_identity_check(n=args.grid)
     ok = res["rel_err"] < 0.01
     case = _case("schrodinger-identity", f"grid{args.grid}", res["lhs"], res["rhs"], 1.0, ok)
     mixed = FN.mixed_norm_quotient(P.schrodinger_profile(4, -1.0))
@@ -253,62 +243,41 @@ def suite_audit(args):
     """Geometry invariances and the symmetry behaviour of the quotients."""
     rng = np.random.Generator(np.random.Philox(key=np.array([np.uint64(args.seed), np.uint64(2)])))
     cases = []
-    worst_form, worst_det, worst_group = 0.0, 0.0, 0.0
-    for d in (2, 3, 5):
-        for _ in range(200):
-            v = rng.normal(size=d)
-            v *= rng.random() ** 0.5 * 0.95 / max(np.linalg.norm(v), 1e-12)
-            p = ConePoint(rng.normal() * 3.0, rng.normal(size=d))
-            q = lorentz_boost(v, p)
-            rho0, rho1 = minkowski_form(p), minkowski_form(q)
-            worst_form = max(worst_form, abs(rho1 - rho0) / max(abs(rho0), 1e-12))
-            worst_det = max(worst_det, abs(abs(np.linalg.det(boost_matrix(v))) - 1.0))
-            back = lorentz_boost(-v, q)
-            worst_group = max(
-                worst_group,
-                abs(back.tau - p.tau) + float(np.max(np.abs(back.xi - p.xi))),
-            )
+    worst_form, worst_det, worst_group = boost_defects(rng, 200)
     cases.append(_case("audit", "lorentz_form_invariance", worst_form, 1e-10, 1.0,
                        worst_form < 1e-10, seed=args.seed))
     cases.append(_case("audit", "boost_determinant", worst_det, 1e-10, 1.0,
                        worst_det < 1e-10, seed=args.seed))
     cases.append(_case("audit", "boost_group_inverse", worst_group, 1e-9, 1.0,
                        worst_group < 1e-9, seed=args.seed))
-    worst_par = 0.0
-    for _ in range(200):
-        xi = rng.normal(size=3)
-        pt = ConePoint(float(np.dot(xi, xi)), xi)
-        img = galilean_map(rng.normal(size=3), pt)
-        worst_par = max(worst_par, abs(img.tau - float(np.dot(img.xi, img.xi))))
+    worst_par = paraboloid_defect(rng, 200)
     cases.append(_case("audit", "galilean_paraboloid", worst_par, 1e-12, 1.0,
                        worst_par < 1e-12, seed=args.seed))
 
     # Translations, rescalings and phases leave the d = 5 quotient
     # unchanged to quadrature noise.
-    base = P.wave_profile(5, -1.0)
-    q0 = FN.onesided_quotient(base).ratio
-    elements = {
-        "translate": P.Translate(t0=0.7, x0=(0.0,) * 5),
-        "rescale": P.Scaling(lam1=1.3, lam2=2.0),
-        "phase": P.Phase(theta=1.1),
-    }
-    worst_w = 0.0
-    for name, g in elements.items():
-        q1 = FN.onesided_quotient(P.symmetry_apply(g, base)).ratio
-        worst_w = max(worst_w, abs(q1 - q0) / q0)
+    worst_w = symmetry_invariance_audit(
+        P.wave_profile(5, -1.0),
+        {"translate": P.Translate(t0=0.7, x0=(0.0,) * 5),
+         "rescale": P.Scaling(lam1=1.3, lam2=2.0),
+         "phase": P.Phase(theta=1.1)},
+        lambda p: FN.onesided_quotient(p).ratio,
+    )["max_change"]
     cases.append(_case("audit", "wave_symmetry_invariance", worst_w, 1e-6, 1.0,
                        worst_w < 1e-6))
 
     # Translations, rescalings and phases preserve the mixed-norm
     # quotient; the Galilean boost does not.
-    sbase = P.schrodinger_profile(4, -1.0)
-    qs0 = FN.mixed_norm_quotient(sbase).ratio
-    worst_s = 0.0
-    for g in (P.Translate(t0=0.5, x0=(0.2, 0.0, 0.0, 0.0)), P.Scaling(1.2, 1.5),
-              P.Phase(0.8)):
-        worst_s = max(worst_s, abs(FN.mixed_norm_quotient(P.symmetry_apply(g, sbase)).ratio - qs0))
-    galilean = abs(FN.mixed_norm_quotient(
-        P.symmetry_apply(P.GalileanBoost((0.3, 0.0, 0.0, 0.0)), sbase)).ratio - qs0)
+    changes = symmetry_invariance_audit(
+        P.schrodinger_profile(4, -1.0),
+        {"translate": P.Translate(t0=0.5, x0=(0.2, 0.0, 0.0, 0.0)),
+         "rescale": P.Scaling(1.2, 1.5),
+         "phase": P.Phase(0.8),
+         "galilean": P.GalileanBoost((0.3, 0.0, 0.0, 0.0))},
+        lambda p: FN.mixed_norm_quotient(p).ratio,
+    )["changes"]
+    galilean = changes.pop("galilean")
+    worst_s = max(changes.values())
     cases.append(_case("audit", "schro_symmetry_invariance", worst_s, 1e-9, 1.0,
                        worst_s < 1e-9))
     cases.append(_case("audit", "galilean_breaks_mixed_quotient", galilean, 1e-3, 1.0,
@@ -321,6 +290,7 @@ CHECKS = {
     "shells": _shells_point,
     "bilinear": _check_bilinear,
     "corollary": _check_corollary,
+    "schrodinger-identity": lambda args: PR.check_grid_size(args.grid),
     "search": _check_search,
 }
 

@@ -61,9 +61,9 @@ class QuotientReport:
             rel += self.rhs_err / abs(self.rhs)
         return rel
 
-    def strict(self, factor: float = 10.0) -> bool:
-        """A deficit counts as strict only beyond `factor` x numerical error."""
-        return self.deficit > factor * self.combined_err
+    def strict(self) -> bool:
+        """A deficit counts as strict only beyond 10 x numerical error."""
+        return self.deficit > 10.0 * self.combined_err
 
     def to_dict(self) -> dict:
         return {
@@ -478,11 +478,29 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
     return mc_mean(sample_weights, n_samples, seed)
 
 
+def multilinear_quotient(profiles, n_samples: int, seed: int, **kw) -> QuotientReport:
+    """The k-linear estimate for one profile tuple: lhs = ||prod_j u_j||_2^2
+    by product_l2_sq(**kw), rhs by multilinear_rhs, and the sharp constant
+    of (d, k, family); ratio 1 on the extremal families."""
+    evs = [RadialEvaluator(p) for p in profiles]
+    lhs, lhs_err = product_l2_sq(evs, **kw)
+    rhs = multilinear_rhs(profiles, n_samples=n_samples, seed=seed)
+    d, k, family = profiles[0].d, len(profiles), profiles[0].family
+    return QuotientReport(
+        lhs=lhs,
+        lhs_err=lhs_err,
+        rhs=rhs.mean,
+        rhs_err=rhs.stderr,
+        constant=C.EstimateScale(d, k, family).sharp_constant,
+        meta={"case": "multilinear", "d": d, "k": k, "family": family},
+    )
+
+
 # ---------------------------------------------------------------------------
 # I - II decomposition (alpha = 1 cases)
 
 
-def term_II(p: ExtremalProfile, n_quad: int = 400) -> dict:
+def term_II(p: ExtremalProfile) -> dict:
     """The I - II split of the one-function right-hand side.
 
     I  = npairs * [(2pi)^d H]^{k-2} * [(2pi)^d E]^2,
@@ -509,7 +527,7 @@ def term_II(p: ExtremalProfile, n_quad: int = 400) -> dict:
     if beta == 0.0:
         V = 0.0
     else:
-        u, w = _angular_nodes(d, n_quad)
+        u, w = _angular_nodes(d, 400)
         vals = u * (2.0 * (sigma - beta * u)) ** (-float(d))
         V = amp * sphere_area(d - 1) * math.gamma(d) * float(np.dot(w, vals))
     spect = H ** (k - 2)
@@ -522,9 +540,7 @@ def term_II(p: ExtremalProfile, n_quad: int = 400) -> dict:
 # Wave quotients
 
 
-def onesided_quotient(profile: ExtremalProfile, method: str = "auto",
-                   rel_tol: float = 1e-6, window: Window = None,
-                   mode: str = "auto", quad: QuadSpec = None) -> QuotientReport:
+def onesided_quotient(profile: ExtremalProfile) -> QuotientReport:
     """One-sided L^{2k} quotient against the collapsed sharp constant.
 
     lhs = ||u||_{2k},  rhs = (C(d) H^{k-2} E^2)^{1/(2k)}, so ratio = 1
@@ -534,8 +550,7 @@ def onesided_quotient(profile: ExtremalProfile, method: str = "auto",
     k = C.WAVE_ALPHA1_DEGREE.get(d)
     if k is None:
         raise ValueError(f"no collapsed one-function case in dimension {d}")
-    ev = RadialEvaluator(profile, method=method, quad=quad or QuadSpec())
-    lhs, lhs_err = lp_norm_radial(ev, 2 * k, window=window, rel_tol=rel_tol, mode=mode)
+    lhs, lhs_err = lp_norm_radial(RadialEvaluator(profile), 2 * k)
     H = sobolev_norm_sq(profile, 0.5)
     E = sobolev_norm_sq(profile, 1.0)
     rhs = (H ** (k - 2) * E * E) ** (1.0 / (2.0 * k))
@@ -546,13 +561,11 @@ def onesided_quotient(profile: ExtremalProfile, method: str = "auto",
         rhs=rhs,
         rhs_err=0.0,
         constant=const,
-        meta={"case": "wave_onefn", "d": d, "k": k, "method": method},
+        meta={"case": "wave_onefn", "d": d, "k": k},
     )
 
 
-def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile,
-                    method: str = "auto", rel_tol: float = 1e-7,
-                    window: Window = None) -> QuotientReport:
+def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile) -> QuotientReport:
     """Energy-Strichartz quotient in d = 5.
 
     lhs = ||u_+ + u_-||_{L^4}, rhs = energy^{1/2} with the energy taken
@@ -563,12 +576,9 @@ def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile,
         raise ValueError("the energy quotient is the d = 5 case")
     if f_plus.sign != 1 or f_minus.sign != -1:
         raise ValueError("pass the (+, -) split pair")
-    ev_p = RadialEvaluator(f_plus, method=method)
-    ev_m = RadialEvaluator(f_minus, method=method)
-    u = SumEvaluator(ev_p, ev_m)
-    if window is None:
-        window = default_window([ev_p, ev_m])
-    lhs, lhs_err = lp_norm_radial(u, 4, window=window, rel_tol=rel_tol)
+    ev_p, ev_m = RadialEvaluator(f_plus), RadialEvaluator(f_minus)
+    lhs, lhs_err = lp_norm_radial(SumEvaluator(ev_p, ev_m), 4,
+                                  window=default_window([ev_p, ev_m]), rel_tol=1e-7)
     energy = 2.0 * (sobolev_norm_sq(f_plus, 1.0) + sobolev_norm_sq(f_minus, 1.0))
     return QuotientReport(
         lhs=lhs,
@@ -576,12 +586,11 @@ def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile,
         rhs=math.sqrt(energy),
         rhs_err=0.0,
         constant=1.0 / math.sqrt(8.0 * math.pi),
-        meta={"case": "energy_d5", "method": method},
+        meta={"case": "energy_d5"},
     )
 
 
-def orthogonal_split_check(f_plus: ExtremalProfile, f_minus: ExtremalProfile,
-                           method: str = "auto", rel_tol: float = 1e-7) -> dict:
+def orthogonal_split_check(f_plus: ExtremalProfile, f_minus: ExtremalProfile) -> dict:
     """Residual of ||u||_4^4 = ||u_+||_4^4 + ||u_-||_4^4 + 4 ||u_+ u_-||_2^2.
 
     The three space-time spectra live on disjoint regions (timelike
@@ -589,14 +598,13 @@ def orthogonal_split_check(f_plus: ExtremalProfile, f_minus: ExtremalProfile,
     the residual measures quadrature error only.  Also returns the
     basic-inequality pieces X = ||u_+||_4^2, Y = ||u_-||_4^2.
     """
-    ev_p = RadialEvaluator(f_plus, method=method)
-    ev_m = RadialEvaluator(f_minus, method=method)
-    win = default_window([ev_p, ev_m])
+    ev_p, ev_m = RadialEvaluator(f_plus), RadialEvaluator(f_minus)
+    kw = dict(window=default_window([ev_p, ev_m]), rel_tol=1e-7)
     u = SumEvaluator(ev_p, ev_m)
-    total, e0 = product_l2_sq([u, u], window=win, rel_tol=rel_tol)
-    pp, e1 = product_l2_sq([ev_p, ev_p], window=win, rel_tol=rel_tol)
-    mm, e2 = product_l2_sq([ev_m, ev_m], window=win, rel_tol=rel_tol)
-    pm, e3 = product_l2_sq([ev_p, ev_m], window=win, rel_tol=rel_tol)
+    total, e0 = product_l2_sq([u, u], **kw)
+    pp, e1 = product_l2_sq([ev_p, ev_p], **kw)
+    mm, e2 = product_l2_sq([ev_m, ev_m], **kw)
+    pm, e3 = product_l2_sq([ev_p, ev_m], **kw)
     rhs = pp + mm + 4.0 * pm
     residual = abs(total - rhs) / abs(total)
     return {
@@ -610,8 +618,7 @@ def orthogonal_split_check(f_plus: ExtremalProfile, f_minus: ExtremalProfile,
     }
 
 
-def cross_term_gap(mode: str = "paper", a: float = -1.0, rel_tol: float = 1e-6,
-                   tail_factor: float = 60.0) -> dict:
+def cross_term_gap(mode: str = "paper") -> dict:
     """Cauchy-Schwarz ratio |<u_+^3, u_+^2 u_->| / (||u_+^3|| ||u_+^2 u_-||), d = 2.
 
     mode 'paper' takes the split of the data ((1+|x|^2)^{-1/2}, 0),
@@ -621,7 +628,7 @@ def cross_term_gap(mode: str = "paper", a: float = -1.0, rel_tol: float = 1e-6,
     """
     from .profiles import wave_profile
 
-    u0 = wave_profile(2, a, c=math.log(math.pi))
+    u0 = wave_profile(2, -1.0, c=math.log(math.pi))
     ev_p = RadialEvaluator(u0)
     if mode == "paper":
         ev_m = MappedEvaluator(ev_p, np.conj)
@@ -631,12 +638,11 @@ def cross_term_gap(mode: str = "paper", a: float = -1.0, rel_tol: float = 1e-6,
         ev_m = MappedEvaluator(ev_p, np.negative)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    win = default_window([ev_p], tail_factor=tail_factor)
+    win = default_window([ev_p], tail_factor=60.0)
     # The numerator is a signed inner product, so no nonnegative-tail
     # completion is available; run the denominators under the same
     # convention to keep the ratio exactly 1 for the coincident control.
-    kw = dict(window=win, rel_tol=rel_tol, mode="cone", ridge_width=0.4 * abs(a),
-              nonneg=False)
+    kw = dict(window=win, rel_tol=1e-6, mode="cone", ridge_width=0.4, nonneg=False)
     num, en = spacetime_inner([ev_p] * 3, [ev_p, ev_p, ev_m], **kw)
     den1, e1 = product_l2_sq([ev_p] * 3, **kw)
     den2, e2 = product_l2_sq([ev_p, ev_p, ev_m], **kw)
@@ -765,30 +771,6 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float, n_tau: int = 100,
     return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
 
 
-def wave_quartic_quotient_fiber(g, d: int = 5, decay: float = 1.0) -> QuotientReport:
-    """One-sided L^4 quotient in d = 5 for radial ansatz |xi| fhat = g.
-
-    lhs^4 = ||u u||_2^2 from the fiber route; rhs from the radial Sobolev
-    integrals H = ||f||_{H^{1/2}}^2, E = ||f||_{H^1}^2 (for d = 5 only E
-    enters).
-    """
-    if d != 5:
-        raise ValueError("the quartic wave case lives in d = 5")
-    v1 = wave_bilinear_lhs_fiber(g, g, d, decay)
-    v2 = wave_bilinear_lhs_fiber(g, g, d, decay, n_tau=140, n_u=64)
-    lhs = v2 ** 0.25
-    lhs_err = lhs * abs(v2 - v1) / v2 / 4.0
-    E = wave_radial_norm_sq(g, d, 1.0, decay)
-    return QuotientReport(
-        lhs=lhs,
-        lhs_err=lhs_err,
-        rhs=math.sqrt(E),
-        rhs_err=0.0,
-        constant=C.wave_onefn_constant(5) ** 0.25,
-        meta={"case": "wave_ansatz_d5", "route": "fiber"},
-    )
-
-
 def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float, n: int = 800) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
     rmax = 80.0 / decay
@@ -807,8 +789,7 @@ def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float, n: int = 800
     return sphere_area(d) * val / (2.0 * math.pi) ** d
 
 
-def schro_ansatz_quotient(radial_fn, decay: float, d: int = 4, amp_bound: float = None,
-                          rel_tol: float = 2e-4, route: str = "fiber") -> QuotientReport:
+def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> QuotientReport:
     """Mixed-norm quotient for general radial Schrodinger data fhat = g(r).
 
     The quartic norm comes from the shell-fiber representation (smooth,
@@ -816,14 +797,14 @@ def schro_ansatz_quotient(radial_fn, decay: float, d: int = 4, amp_bound: float 
     propagator plus space-time quadrature (route 'propagator', the slow
     cross-check).  Data norms by radial quadrature.
     """
+    d, rel_tol = 4, 2e-4
     if route == "fiber":
         v1 = schro_quartic_norm4(radial_fn, d, decay)
         v2 = schro_quartic_norm4(radial_fn, d, decay, n_q=120, n_u=64)
         lhs = v2 ** 0.25
         lhs_err = lhs * abs(v2 - v1) / v2 / 4.0
     elif route == "propagator":
-        ev = RadialEvaluator(radial_fn=radial_fn, decay=decay, amp_bound=amp_bound,
-                             d=d, family=SCHRODINGER,
+        ev = RadialEvaluator(radial_fn=radial_fn, decay=decay, d=d, family=SCHRODINGER,
                              quad=QuadSpec(rel_tol=0.25 * rel_tol, abs_tol=1e-11, max_levels=6))
         win = default_window([ev], tail_factor=4.0, core=10.0)
         lhs, lhs_err = lp_norm_radial(ev, 4, window=win, rel_tol=rel_tol,
@@ -847,8 +828,7 @@ def schro_ansatz_quotient(radial_fn, decay: float, d: int = 4, amp_bound: float 
 # Functional equation residual
 
 
-def functional_eq_residual(g, d: int, n_samples: int = 2000, seed: int = 0,
-                           cone_scale: float = 1.0) -> float:
+def functional_eq_residual(g, d: int, seed: int = 0, cone_scale: float = 1.0) -> float:
     """RMS multiplicativity defect of g over constrained quadruples.
 
     Samples (tau, xi) inside the forward cone and two independent
@@ -857,6 +837,7 @@ def functional_eq_residual(g, d: int, n_samples: int = 2000, seed: int = 0,
     the defect is |Log(g(eta_1) g(eta_2) / (g(eta_3) g(eta_4)))| with
     the principal log of the ratio (exactly 0 for exponential profiles).
     """
+    n_samples = 2000
     rng = np.random.Generator(np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0)])))
     xi = cone_scale * rng.normal(size=(n_samples, d))
     ratios = 1.2 + 2.8 * rng.random(n_samples)
@@ -893,21 +874,19 @@ def _smooth_bump(s):
     return out
 
 
-def separated_bump_pair(xi0: float = 8.0, width: float = 2.0):
-    """Frequency bumps supported on [xi0 - w, xi0 + w] and its mirror."""
+def separated_bump_pair():
+    """Frequency bumps supported on [4, 12] and its mirror [-12, -4]."""
 
     def f1_hat(k):
-        return _smooth_bump((np.asarray(k, dtype=float) - xi0) / width)
+        return _smooth_bump((np.asarray(k, dtype=float) - 8.0) / 4.0)
 
     def f2_hat(k):
-        return _smooth_bump((np.asarray(k, dtype=float) + xi0) / width)
+        return _smooth_bump((np.asarray(k, dtype=float) + 8.0) / 4.0)
 
     return f1_hat, f2_hat
 
 
-def schro_identity_check(f1_hat=None, f2_hat=None, n: int = 4096, L: float = 160.0,
-                         t_half: float = 3.0, nt_panels: int = 24, xi0: float = 8.0,
-                         width: float = 4.0) -> dict:
+def schro_identity_check(n: int = 4096) -> dict:
     """Verify ||u1 u2||^2_{L^2} = 1/(2(2pi)^2) int |f1^|^2 |f2^|^2 /|xi_1 - xi_2|.
 
     Both sides are computed from the same sampled frequency data: the
@@ -915,8 +894,8 @@ def schro_identity_check(f1_hat=None, f2_hat=None, n: int = 4096, L: float = 160
     the packets separate, the right by a double sum over the grid modes
     (the supports are disjoint, so the kernel is bounded).
     """
-    if f1_hat is None or f2_hat is None:
-        f1_hat, f2_hat = separated_bump_pair(xi0, width)
+    L, t_half = 160.0, 3.0
+    f1_hat, f2_hat = separated_bump_pair()
     g1 = grid_from_freq_data(f1_hat, n, L)
     g2 = grid_from_freq_data(f2_hat, n, L)
     if not (g1.boundary_decayed() and g2.boundary_decayed()):
@@ -926,7 +905,8 @@ def schro_identity_check(f1_hat=None, f2_hat=None, n: int = 4096, L: float = 160
     f1k = np.asarray(f1_hat(k), dtype=complex)
     f2k = np.asarray(f2_hat(k), dtype=complex)
 
-    t_nodes, t_weights = panel_nodes(np.linspace(-t_half, t_half, nt_panels + 1), _PANEL_ORDER)
+    t_nodes, t_weights = panel_nodes(np.linspace(-t_half, t_half, 25),  # 24 panels
+                                     _PANEL_ORDER)
     lhs = 0.0
     for t, wt in zip(t_nodes, t_weights):
         u1 = schro_fft_1d(g1, t, check_boundary=False).values

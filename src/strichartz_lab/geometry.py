@@ -95,6 +95,37 @@ def galilean_map(v, p: ConePoint) -> ConePoint:
     return ConePoint(p.tau + 2.0 * float(np.dot(p.xi, v)) + float(np.dot(v, v)), p.xi + v)
 
 
+def boost_defects(rng, n: int):
+    """Worst (Minkowski-form change, |det T_v| - 1, T_{-v} T_v round trip)
+    over n random boosts of random points for each d in (2, 3, 5)."""
+    worst_form, worst_det, worst_group = 0.0, 0.0, 0.0
+    for d in (2, 3, 5):
+        for _ in range(n):
+            v = rng.normal(size=d)
+            v *= rng.random() ** 0.5 * 0.95 / max(np.linalg.norm(v), 1e-12)
+            p = ConePoint(rng.normal() * 3.0, rng.normal(size=d))
+            q = lorentz_boost(v, p)
+            rho0, rho1 = minkowski_form(p), minkowski_form(q)
+            worst_form = max(worst_form, abs(rho1 - rho0) / max(abs(rho0), 1e-12))
+            worst_det = max(worst_det, abs(abs(np.linalg.det(boost_matrix(v))) - 1.0))
+            back = lorentz_boost(-v, q)
+            worst_group = max(
+                worst_group,
+                abs(back.tau - p.tau) + float(np.max(np.abs(back.xi - p.xi))),
+            )
+    return worst_form, worst_det, worst_group
+
+
+def paraboloid_defect(rng, n: int) -> float:
+    """Worst |tau' - |xi'|^2| over n random Galilean maps of paraboloid points, d = 3."""
+    worst = 0.0
+    for _ in range(n):
+        xi = rng.normal(size=3)
+        img = galilean_map(rng.normal(size=3), ConePoint(float(np.dot(xi, xi)), xi))
+        worst = max(worst, abs(img.tau - float(np.dot(img.xi, img.xi))))
+    return worst
+
+
 def _pair_term(a, b) -> float:
     """|a||b| - a.b without cancellation.
 

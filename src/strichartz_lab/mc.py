@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CHUNK = 1 << 17
+CHUNK = 1 << 17  # samples per Philox stream
 
 THREADS_ENV = "STRICHARTZ_LAB_THREADS"
 
@@ -29,9 +29,6 @@ class McEstimate:
     stderr: float
     n: int
     seed: int
-
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.mean - target) <= n_sigma * self.stderr
 
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
@@ -48,7 +45,7 @@ def _worker_count() -> int:
         return 1
 
 
-def mc_mean(sample_weights, n: int, seed: int, chunk: int = DEFAULT_CHUNK) -> McEstimate:
+def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
     """Estimate E[w] where sample_weights(rng, m) returns m weights.
 
     The callable must be a pure function of the generator state; chunk
@@ -60,7 +57,7 @@ def mc_mean(sample_weights, n: int, seed: int, chunk: int = DEFAULT_CHUNK) -> Mc
     sizes = []
     remaining = n
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(CHUNK, remaining)
         sizes.append(m)
         remaining -= m
 

@@ -20,6 +20,9 @@ import numpy as np
 from .constants import WAVE, SCHRODINGER, sphere_area, log_sphere_area
 from .quadrules import gauss_nodes as _gauss_legendre
 
+# Angular Gauss nodes of the tilted-norm quadratures (8x as many radial).
+_N_QUAD = 200
+
 
 @dataclass
 class ExtremalProfile:
@@ -98,7 +101,7 @@ def schrodinger_profile(d, a, b=None, c=0.0) -> ExtremalProfile:
 # Sobolev norms
 
 
-def sobolev_norm_sq(p: ExtremalProfile, s: float, n_quad: int = 200) -> float:
+def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
     """Squared homogeneous Sobolev norm (2pi)^{-d} int |xi|^{2s} |fhat|^2.
 
     Wave family: the polar reduction collapses to an analytic radial
@@ -126,7 +129,7 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float, n_quad: int = 200) -> float:
                 * math.exp(math.lgamma(m + 1.0) - (m + 1.0) * math.log(2.0 * sigma))
                 / (2.0 * math.pi) ** d
             )
-        u, w = _angular_nodes(d, n_quad)
+        u, w = _angular_nodes(d, _N_QUAD)
         vals = (2.0 * (sigma - beta * u)) ** (-(m + 1.0))
         ang = float(np.dot(w, vals))
         return amp * sphere_area(d - 1) * math.gamma(m + 1.0) * ang / (2.0 * math.pi) ** d
@@ -148,7 +151,7 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float, n_quad: int = 200) -> float:
             * (d / (4.0 * sigma) + mlen * mlen)
         )
         return amp * val / (2.0 * math.pi) ** d
-    return _schro_norm_quad(p, s, n_quad)
+    return _schro_norm_quad(p, s)
 
 
 def _angular_nodes(d, n):
@@ -163,17 +166,17 @@ def _angular_nodes(d, n):
     return np.cos(theta), w * np.sin(theta) ** (d - 2)
 
 
-def _schro_norm_quad(p, s, n_quad):
+def _schro_norm_quad(p, s):
     sigma, beta, d = p.decay, p.tilt, p.d
     amp = math.exp(2.0 * p.c.real)
     rmax = math.sqrt((50.0 + beta * beta / sigma) / (2.0 * sigma)) + beta / sigma + 5.0
-    r, wr = _gauss_legendre(8 * n_quad, 0.0, rmax)
+    r, wr = _gauss_legendre(8 * _N_QUAD, 0.0, rmax)
     if d == 1:
         radial = r ** (2.0 * s) * np.exp(-2.0 * sigma * r * r) * (
             np.exp(2.0 * beta * r) + np.exp(-2.0 * beta * r)
         )
         return amp * float(np.dot(wr, radial)) / (2.0 * math.pi)
-    u, wu = _angular_nodes(d, n_quad)
+    u, wu = _angular_nodes(d, _N_QUAD)
     ang = np.exp(2.0 * beta * np.outer(r, u))
     radial = r ** (2.0 * s + d - 1.0) * np.exp(-2.0 * sigma * r * r)
     total = float(np.dot(radial * wr, ang @ wu))
@@ -352,7 +355,7 @@ def center_line_constant(d: int) -> float:
     return math.exp(math.lgamma(d - 1) + log_sphere_area(d))
 
 
-def lambda_diagnostics(p: ExtremalProfile, t_grid=None, n_fit: int = 9):
+def lambda_diagnostics(p: ExtremalProfile):
     """Numeric uniqueness diagnostics of the amplitude.
 
     Returns dict with the coarse-grid argmax over (t, x_axis), and the
@@ -360,24 +363,25 @@ def lambda_diagnostics(p: ExtremalProfile, t_grid=None, n_fit: int = 9):
     d = 5 it is (Re(a)^2 + t~^2)^2, a monic quartic in shifted time with
     constant term Re(a)^4.
     """
+    from .propagators import RadialEvaluator
+
     if p.family != WAVE or p.d != 5:
         raise ValueError("diagnostics implemented for d = 5 wave profiles")
     t_star = -p.a.imag
-    if t_grid is None:
-        t_grid = t_star + np.linspace(-2.0, 2.0, 41)
+    t_grid = t_star + np.linspace(-2.0, 2.0, 41)
     center = p.center
     axis = np.zeros(p.d)
     axis[0] = 1.0
     x_offsets = np.linspace(-2.0, 2.0, 41)
-    vals = np.array(
-        [[lambda_amplitude(p, t, center + s * axis) for s in x_offsets] for t in t_grid]
-    )
+    # The point center + s * axis lies at distance |s| from the center.
+    ev = RadialEvaluator(p)
+    vals = np.abs(ev.eval_grid(t_grid, np.abs(x_offsets)))
     it, ix = np.unravel_index(np.argmax(vals), vals.shape)
     # Center-line polynomial: sample and fit degree 4 in shifted time.
     # On the line, Lambda = C0 e^{Re c} / ((2pi)^d |Re a + i t~|^{d-1}), so
     # C0 e^{Re c} / ((2pi)^d Lambda) is the monic quartic (Re a^2 + t~^2)^2.
-    ts = np.linspace(-1.5, 1.5, n_fit)
-    lam = np.array([lambda_amplitude(p, t_star + t, center) for t in ts])
+    ts = np.linspace(-1.5, 1.5, 9)
+    lam = np.abs(ev.eval_grid(t_star + ts, 0.0)[:, 0])
     target = center_line_constant(p.d) * math.exp(p.c.real) / ((2.0 * math.pi) ** p.d) / lam
     coeffs = np.polyfit(ts, target, 4)
     return {

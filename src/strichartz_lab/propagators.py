@@ -324,10 +324,9 @@ class RadialEvaluator:
         return vals
 
 
-def wave_eval(p: ExtremalProfile, t: float, r: float, quad: QuadSpec = DEFAULT_QUAD,
-              method: str = "auto") -> complex:
+def wave_eval(p: ExtremalProfile, t: float, r: float, method: str = "auto") -> complex:
     """u(t, x) at |x - center| = r for a wave profile (Re(b) = 0)."""
-    ev = RadialEvaluator(p, quad=quad, method=method)
+    ev = RadialEvaluator(p, method=method)
     return ev(float(t), float(r))
 
 
@@ -373,6 +372,12 @@ def schro_gaussian_eval(p: ExtremalProfile, t: float, x) -> complex:
 # 1-D FFT grid propagator
 
 
+def check_grid_size(n: int) -> None:
+    """ValueError unless n is a power of two >= 256 (the FFT grid sizes)."""
+    if n < 256 or n & (n - 1):
+        raise ValueError(f"grid size must be a power of two >= 256, got {n}")
+
+
 @dataclass
 class Grid1D:
     """Periodic 1-D grid on [-L, L) with n points (n a power of two)."""
@@ -382,8 +387,7 @@ class Grid1D:
     values: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.n < 256 or self.n & (self.n - 1):
-            raise ValueError("grid size must be a power of two >= 256")
+        check_grid_size(self.n)
         if self.values is None:
             self.values = np.zeros(self.n, dtype=complex)
         self.values = np.asarray(self.values, dtype=complex)

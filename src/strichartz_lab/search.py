@@ -33,6 +33,8 @@ SUPPORTED_CASES = {
 }
 
 _Z_LO, _Z_HI = math.log(0.05), math.log(20.0)
+_SIMPLEX_TOL = 1e-5   # Nelder-Mead convergence tolerance on -Q
+_INIT_SPREAD = 0.35   # scale of the random Chebyshev start coefficients
 
 
 @dataclass
@@ -128,11 +130,9 @@ def quotient_objective(d: int, k: int, family: str):
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 400        # objective evaluations per restart
-    tol: float = 1e-5        # simplex convergence tolerance on -Q
     seed: int = 0
     m: int = 6               # number of ansatz coefficients
     restarts: int = 1
-    init_spread: float = 0.35
 
 
 def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
@@ -161,7 +161,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
         else:
             start = np.zeros(config.m)
             start[0] = rng.normal(scale=0.5)
-            start[1:] = rng.normal(scale=config.init_spread, size=config.m - 1)
+            start[1:] = rng.normal(scale=_INIT_SPREAD, size=config.m - 1)
         counter = [0, 0]  # evaluations, quadrature failures
         improvements = []
         run_best = [-math.inf]
@@ -186,8 +186,8 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             method="Nelder-Mead",
             options={
                 "maxfev": config.budget,
-                "xatol": config.tol,
-                "fatol": config.tol,
+                "xatol": _SIMPLEX_TOL,
+                "fatol": _SIMPLEX_TOL,
                 "adaptive": True,
             },
         )
@@ -213,15 +213,14 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     return profile, trace, diag
 
 
-def exponential_fit_diagnostic(profile: AnsatzProfile, r_lo: float = 0.5, r_hi: float = 4.0,
-                               n: int = 60) -> dict:
+def exponential_fit_diagnostic(profile: AnsatzProfile) -> dict:
     """Least-squares fit of log g against -a r^pow + const on the decay range.
 
     Returns the fitted rate and the RMS residual (absolute, in log
     units); small residuals certify the family-correct decay shape
     (exponential for wave, Gaussian for Schrodinger).
     """
-    r = np.linspace(r_lo, r_hi, n)
+    r = np.linspace(0.5, 4.0, 60)
     y = profile.log_profile(r)
     X = np.stack([-(r ** profile.decay_power), np.ones_like(r)], axis=1)
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)

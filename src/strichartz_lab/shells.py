@@ -29,7 +29,7 @@ from .constants import (
     sphere_area,
 )
 from .geometry import ConePoint
-from .mc import McEstimate, mc_mean
+from .mc import mc_mean
 from .quadrules import QuadratureError
 
 CLOSED_FORM = "closed_form"

@@ -18,13 +18,7 @@ from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 import strichartz_lab.search as SR
 from strichartz_lab import shells as SH
-from strichartz_lab.geometry import (
-    ConePoint,
-    boost_matrix,
-    galilean_map,
-    lorentz_boost,
-    minkowski_form,
-)
+from strichartz_lab.geometry import ConePoint, boost_defects, paraboloid_defect
 
 MASTER_SEED = 2024
 # Shell-sweep seed: the k = 4 smoothed-MC weights are heavy-tailed, so the
@@ -160,25 +154,17 @@ def test_criterion_07_bilinear_monte_carlo_property():
     rng = np.random.default_rng(MASTER_SEED + 1)
     worst_ratio = -math.inf
     for (d, k), n_cases in cases.items():
-        const = C.wave_sharp_constant(d, k)
         # Extremal tuple: shared (a, b), distinct c_j -> ratio 1.
         profs = [P.wave_profile(d, -1.0, c=0.15j * j + 0.1 * j) for j in range(k)]
-        evs = [PR.RadialEvaluator(p) for p in profs]
-        lhs, lerr = FN.product_l2_sq(evs)
-        rhs = FN.multilinear_rhs(profs, n_samples=2 * 10 ** 5,
-                                 seed=MASTER_SEED + 10 * d + k)
-        band = 3.0 * (rhs.stderr / rhs.mean + lerr / lhs)
-        ratio = lhs / (const * rhs.mean)
+        rep = FN.multilinear_quotient(profs, 2 * 10 ** 5, MASTER_SEED + 10 * d + k)
+        band, ratio = 3.0 * rep.combined_err, rep.ratio
         assert abs(ratio - 1.0) <= band, (d, k, ratio, band)
         for trial in range(n_cases):
             profs = [_random_wave_profile(rng, d) for _ in range(k)]
-            evs = [PR.RadialEvaluator(p) for p in profs]
-            win = FN.default_window(evs, tail_factor=20.0)
-            lhs, lerr = FN.product_l2_sq(evs, window=win, rel_tol=3e-4)
-            rhs = FN.multilinear_rhs(profs, n_samples=5 * 10 ** 4,
-                                     seed=MASTER_SEED + 1000 + trial)
-            band = 3.0 * (rhs.stderr / rhs.mean + lerr / lhs)
-            ratio = lhs / (const * rhs.mean)
+            win = FN.default_window([PR.RadialEvaluator(p) for p in profs], tail_factor=20.0)
+            rep = FN.multilinear_quotient(profs, 5 * 10 ** 4, MASTER_SEED + 1000 + trial,
+                                          window=win, rel_tol=3e-4)
+            band, ratio = 3.0 * rep.combined_err, rep.ratio
             assert ratio <= 1.0 + band, (d, k, trial, ratio, band)
             worst_ratio = max(worst_ratio, ratio - band)
     report(7, f"300 random tuples all satisfy ratio <= 1 + 3 sigma "
@@ -255,40 +241,22 @@ def test_criterion_11_extremizer_search_d4():
 def test_criterion_12_invariance_suites():
     t0 = time.time()
     rng = np.random.default_rng(MASTER_SEED + 12)
-    worst_form, worst_det = 0.0, 0.0
-    for d in (2, 3, 5):
-        for _ in range(1000):
-            v = rng.normal(size=d)
-            v *= 0.95 * rng.random() ** 0.5 / max(np.linalg.norm(v), 1e-12)
-            p = ConePoint(3.0 * rng.normal(), rng.normal(size=d))
-            worst_form = max(
-                worst_form,
-                abs(minkowski_form(lorentz_boost(v, p)) - minkowski_form(p))
-                / max(abs(minkowski_form(p)), 1e-12),
-            )
-            worst_det = max(worst_det, abs(abs(np.linalg.det(boost_matrix(v))) - 1.0))
+    worst_form, worst_det, _ = boost_defects(rng, 1000)
     assert worst_form < 1e-10 and worst_det < 1e-10
-    worst_par = 0.0
-    for _ in range(500):
-        xi = rng.normal(size=3)
-        img = galilean_map(rng.normal(size=3), ConePoint(float(xi @ xi), xi))
-        worst_par = max(worst_par, abs(img.tau - float(img.xi @ img.xi)))
+    worst_par = paraboloid_defect(rng, 500)
     assert worst_par < 1e-12
-    base = P.wave_profile(5, -1.0)
-    q0 = FN.onesided_quotient(base).ratio
-    worst_w = 0.0
-    for g in (P.Translate(0.7, (0.0,) * 5), P.Scaling(1.3, 2.0), P.Phase(1.1)):
-        q1 = FN.onesided_quotient(P.symmetry_apply(g, base)).ratio
-        worst_w = max(worst_w, abs(q1 - q0) / q0)
+    worst_w = SR.symmetry_invariance_audit(
+        P.wave_profile(5, -1.0),
+        {"translate": P.Translate(0.7, (0.0,) * 5), "rescale": P.Scaling(1.3, 2.0),
+         "phase": P.Phase(1.1)},
+        lambda p: FN.onesided_quotient(p).ratio,
+    )["max_change"]
     assert worst_w < 1e-6
-    sbase = P.schrodinger_profile(4, -1.0)
-    qs0 = FN.mixed_norm_quotient(sbase).ratio
-    s4 = abs(
-        FN.mixed_norm_quotient(
-            P.symmetry_apply(P.GalileanBoost((0.3, 0.0, 0.0, 0.0)), sbase)
-        ).ratio
-        - qs0
-    )
+    s4 = SR.symmetry_invariance_audit(
+        P.schrodinger_profile(4, -1.0),
+        {"galilean": P.GalileanBoost((0.3, 0.0, 0.0, 0.0))},
+        lambda p: FN.mixed_norm_quotient(p).ratio,
+    )["max_change"]
     assert s4 > 1e-3
     report(12, f"Lorentz form {worst_form:.1e}; det {worst_det:.1e}; paraboloid "
                f"{worst_par:.1e}; wave-symmetry change {worst_w:.1e}; galilean change "

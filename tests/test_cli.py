@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from strichartz_lab import cli
+from strichartz_lab import constants as C
 from strichartz_lab import shells as SH
 
 
@@ -69,6 +70,14 @@ def test_suite_failure_exits_1(monkeypatch):
     assert code == 1
 
 
+def test_constants_wave_rows_fail_on_a_wrong_catalog(monkeypatch):
+    # The wave rows check W(d,k) against (2pi)^{1-d(2k-1)} I_k from the
+    # shell module, so a perturbed catalog formula must fail them.
+    real = C.log_wave_sharp_constant
+    monkeypatch.setattr(C, "log_wave_sharp_constant", lambda d, k: real(d, k) + 1e-9)
+    assert run(["constants", "--family", "wave"]) == 1
+
+
 def test_point_flag_parsing():
     code = run(["shells", "--d", "3", "--k", "2", "--point", "2.0,0.5,0.0,0.0",
                 "--seed", "3"])
@@ -121,6 +130,8 @@ def test_shells_bad_point_exits_2(point):
     (["search", "--restarts", "0"], "search needs --restarts >= 1"),
     (["search", "--d", "3"], "search supports (d, k, family)"),
     (["all", "--d", "4"], "corollary needs --d in [2, 3, 5]"),
+    (["schrodinger-identity", "--grid", "1000"], "grid size must be a power of two >= 256"),
+    (["all", "--grid", "128"], "grid size must be a power of two >= 256"),
 ])
 def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from strichartz_lab import mc as MC
 from strichartz_lab import shells as S
 from strichartz_lab.constants import alpha_exponent, beta_fn, sphere_area
 from strichartz_lab.geometry import ConePoint, lorentz_boost
@@ -133,6 +134,17 @@ def test_montecarlo_reproducible_and_partition_independent(monkeypatch):
     assert c.value == a.value and c.stderr == a.stderr
     d = S.itilde_montecarlo(3, 2, p, n_samples=10 ** 5, seed=10)
     assert d.value != a.value
+
+
+def test_montecarlo_thread_pool_matches_serial(monkeypatch):
+    # Four chunks, so the thread pool of mc_mean really runs.
+    p = pt(1.0, 0.0, 0.0, 0.0)
+    n = 3 * MC.CHUNK + 1000
+    monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "1")
+    serial = S.itilde_montecarlo(3, 2, p, n_samples=n, seed=9)
+    monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "3")
+    threaded = S.itilde_montecarlo(3, 2, p, n_samples=n, seed=9)
+    assert threaded.value == serial.value and threaded.stderr == serial.stderr
 
 
 def test_montecarlo_lorentz_invariance():
