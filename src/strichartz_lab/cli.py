@@ -60,12 +60,13 @@ def suite_constants(args):
                 except ValueError:
                     continue
                 const = scale.sharp_constant
+                # W(d,k) and S(d,k) = (2pi)^{1-d(2k-1)} I_k, the weighted
+                # cone or paraboloid shell constant at (1, 0).
                 if fam == C.WAVE:
-                    # W(d,k) = (2pi)^{1-d(2k-1)} I_k, the weighted shell constant.
-                    alt = ((2.0 * math.pi) ** (1 - d * (2 * k - 1))
-                           * SH.i_weighted(d, k, ConePoint(1.0, np.zeros(d))).value)
+                    unit = SH.i_weighted(d, k, ConePoint(1.0, np.zeros(d))).value
                 else:
-                    alt = math.exp(C.log_schrodinger_sharp_constant_klinear(d, k))
+                    unit = SH.schro_shell(d, k, 1.0, np.zeros(d)).weighted
+                alt = (2.0 * math.pi) ** (1 - d * (2 * k - 1)) * unit
                 ok = abs(const - alt) <= 1e-12 * const
                 cases.append(
                     _case("constants", f"{fam}_d{d}_k{k}", const, alt, 1.0, ok,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,16 +101,14 @@ def json_line(obj: dict) -> str:
 # ---------------------------------------------------------------------------
 # Composite fields
 #
-# A space-time field exposes d, decay, family, t_peaks, has_closed_form,
-# has_modulus_kernel and eval_grid(t, r, modulus=False); RadialEvaluator
-# is the base field, and the drivers below read nothing else.  Fields
-# without a modulus kernel return np.abs(u) ** 2 for modulus=True.
+# A space-time field exposes d, decay, family, t_peaks, has_closed_form
+# and eval_grid(t, r, modulus=False); RadialEvaluator is the base field,
+# and the drivers below read nothing else.  Norms read fields only through
+# eval_grid(t, r, modulus=True); the composite fields return np.abs(u) ** 2.
 
 
 class SumEvaluator:
     """Pointwise sum of co-centred radial fields of one family (e.g. u_+ + u_-)."""
-
-    has_modulus_kernel = False
 
     def __init__(self, *evaluators):
         self.parts = evaluators
@@ -130,8 +128,6 @@ class SumEvaluator:
 class MappedEvaluator:
     """Pointwise map of one field, e.g. np.conj (same modulus, reversed
     phases) or np.negative; everything but the values is the base's."""
-
-    has_modulus_kernel = False
 
     def __init__(self, base, fn):
         self.base = base
@@ -172,8 +168,10 @@ def default_window(evaluators, tail_factor: float = 40.0, core: float = 18.0) ->
     A profile with frequency decay sigma has spatial features on scale
     sigma (frequency spread 1/sigma), so window lengths are proportional
     to the largest sigma present; the ridge resolution (cone mode) uses
-    the smallest.
+    the smallest.  The tails reach past the core only for tail_factor > 1.
     """
+    if tail_factor <= 1.0:
+        raise ValueError(f"tail_factor must exceed 1, got {tail_factor}")
     peaks = [t for ev in evaluators for t in ev.t_peaks]
     scale = max(ev.decay for ev in evaluators)
     t_center = 0.5 * (max(peaks) + min(peaks))
@@ -190,28 +188,24 @@ def _geom_edges(lo, hi, n):
     return lo * (hi / lo) ** (np.linspace(0.0, 1.0, n + 1))
 
 
-def _t_edges(win: Window, level: int, n_lin0: int = 10, n_log0: int = 8):
-    n_lin = n_lin0 * (1 << level)
-    n_log = n_log0 * (1 << level)
+def _t_edges(win: Window, level: int):
+    n_lin, n_log = 10 << level, 8 << level
     lin = np.linspace(win.t_center - win.t_linear, win.t_center + win.t_linear, 2 * n_lin + 1)
     right = win.t_center + _geom_edges(win.t_linear, win.t_max, n_log)
     left = win.t_center - _geom_edges(win.t_linear, win.t_max, n_log)[::-1]
     return np.concatenate([left[:-1], lin, right[1:]])
 
 
-def _r_edges(r_hi, level: int, r_lin=None, n_lin0: int = 10, n_log0: int = 8):
-    n_lin = n_lin0 * (1 << level)
-    n_log = n_log0 * (1 << level)
-    if r_lin is None or r_lin >= r_hi:
-        return np.linspace(0.0, r_hi, 2 * n_lin + 1)
-    lin = np.linspace(0.0, r_lin, 2 * n_lin + 1)
-    log = _geom_edges(r_lin, r_hi, n_log)
+def _r_edges(win: Window, level: int):
+    n_lin, n_log = 10 << level, 8 << level
+    lin = np.linspace(0.0, win.r_linear, 2 * n_lin + 1)
+    log = _geom_edges(win.r_linear, win.r_max, n_log)
     return np.concatenate([lin, log[1:]])
 
 
 def _rect_pass(F, d, win: Window, level: int):
     t, wt = panel_nodes(_t_edges(win, level), _PANEL_ORDER)
-    r, wr = panel_nodes(_r_edges(win.r_max, level, win.r_linear), _PANEL_ORDER)
+    r, wr = panel_nodes(_r_edges(win, level), _PANEL_ORDER)
     vals = F(t, r)
     weight = wr * r ** (d - 1)
     return sphere_area(d) * np.dot(wt, vals @ weight)
@@ -246,19 +240,22 @@ def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
 
 def spacetime_integral(
     F,
-    d: int,
-    window: Window,
+    evaluators,
+    window: Window = None,
     rel_tol: float = 1e-6,
+    mode: str = "auto",
     max_levels: int = 5,
-    mode: str = "rect",
-    ridge_width: float = 0.5,
+    ridge_width: float = None,
     check_window: bool = True,
     ext_factor: float = 3.0,
     nonneg: bool = False,
 ):
-    """Integrate F(t, r) |S^{d-1}| r^{d-1} dr dt adaptively.
+    """Integrate F(t, r) |S^{d-1}| r^{d-1} dr dt adaptively over the
+    space-time of the fields `evaluators` that F is built from.
 
     F maps (t_nodes, r_nodes) to an (nt, nr) array (complex allowed).
+    The dimension, the default window, the ridge width (half the
+    smallest decay) and the driver (_pick_mode) all come from the fields.
     Panel counts double per level until successive passes agree to
     rel_tol; the returned error adds a window-growth check (both tails
     extended ext_factor x at the accepted level).  For nonnegative
@@ -266,7 +263,13 @@ def spacetime_integral(
     completion (exact for cumulative 1/T tails, conservative error
     otherwise), which matters for the slowly decaying d = 2 sextics.
     """
-    run = _rect_pass if mode == "rect" else lambda f, dd, w, l: _cone_pass(f, dd, w, l, ridge_width)
+    d = evaluators[0].d
+    if window is None:
+        window = default_window(evaluators)
+    if ridge_width is None:
+        ridge_width = 0.5 * min(ev.decay for ev in evaluators)
+    cone = lambda f, dd, w, l: _cone_pass(f, dd, w, l, ridge_width)
+    run = _rect_pass if _pick_mode(evaluators, mode) == "rect" else cone
     prev = run(F, d, window, 0)
     value, err = prev, None
     for level in range(1, max_levels + 1):
@@ -278,14 +281,7 @@ def spacetime_integral(
     else:
         level = max_levels
     if check_window:
-        wide = Window(
-            window.t_center,
-            window.t_linear,
-            ext_factor * window.t_max,
-            window.r_linear,
-            ext_factor * window.r_max,
-            window.spread,
-        )
+        wide = replace(window, t_max=ext_factor * window.t_max, r_max=ext_factor * window.r_max)
         ext = run(F, d, wide, min(level, 1))
         delta = ext - value
         err = (err or 0.0) + abs(delta)
@@ -330,34 +326,6 @@ def product_field(evaluators, modulus: bool = False):
     return F
 
 
-def abs_power_field(evaluators):
-    """F(t, r) = |prod_j u_j(t, r)|^2.  Factors with a modulus kernel
-    contribute their real |u_j|^2; the others are multiplied as complex
-    values and squared once, which keeps their norms bit for bit
-    (|u|^2 |u|^2 and |u u|^2 differ in the last bit)."""
-    real = [ev for ev in evaluators if ev.has_modulus_kernel]
-    other = [ev for ev in evaluators if not ev.has_modulus_kernel]
-    moduli, values = product_field(real, modulus=True), product_field(other)
-
-    def F(t, r):
-        if not other:
-            return moduli(t, r)
-        out = np.abs(values(t, r)) ** 2
-        return moduli(t, r) * out if real else out
-
-    return F
-
-
-def _integrate_fields(F, evaluators, window, rel_tol, mode, kw):
-    """Shared setup of the public drivers: the default window, driver
-    choice and ridge width all come from the factor fields."""
-    if window is None:
-        window = default_window(evaluators)
-    kw.setdefault("ridge_width", 0.5 * min(ev.decay for ev in evaluators))
-    return spacetime_integral(F, evaluators[0].d, window, rel_tol=rel_tol,
-                              mode=_pick_mode(evaluators, mode), **kw)
-
-
 # ---------------------------------------------------------------------------
 # Space-time L^p norms
 
@@ -381,7 +349,8 @@ def lp_norm_radial(evaluator, p: int, window: Window = None, rel_tol: float = 1e
         raise ValueError(f"||u||_{p} diverges for a single field in d = {d}")
     evs = [evaluator] * (p // 2)
     kw.setdefault("nonneg", True)
-    val, err = _integrate_fields(abs_power_field(evs), evs, window, rel_tol, mode, kw)
+    val, err = spacetime_integral(product_field(evs, modulus=True), evs, window, rel_tol,
+                                  mode, **kw)
     if val <= 0:
         raise ValueError("norm integral came out non-positive")
     norm = val ** (1.0 / p)
@@ -392,7 +361,8 @@ def product_l2_sq(evaluators, window: Window = None, rel_tol: float = 1e-6,
                   mode: str = "auto", **kw):
     """||prod_j u_j||_{L^2_{t,x}}^2 with error estimate."""
     kw.setdefault("nonneg", True)
-    return _integrate_fields(abs_power_field(evaluators), evaluators, window, rel_tol, mode, kw)
+    return spacetime_integral(product_field(evaluators, modulus=True), evaluators, window,
+                              rel_tol, mode, **kw)
 
 
 def spacetime_inner(evals_a, evals_b, window: Window = None, rel_tol: float = 1e-6,
@@ -404,7 +374,7 @@ def spacetime_inner(evals_a, evals_b, window: Window = None, rel_tol: float = 1e
     def F(t, r):
         return prod_a(t, r) * np.conj(prod_b(t, r))
 
-    return _integrate_fields(F, evals_a + evals_b, window, rel_tol, mode, kw)
+    return spacetime_integral(F, evals_a + evals_b, window, rel_tol, mode, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ class RadialEvaluator:
     Wave family: evaluates u(t, r) with r the distance from the profile
     center -Im(b); the real tilt must vanish (non-radial moduli are out
     of scope).  method 'auto' uses the exact exponential-family kernel
-    when available, 'quadrature' always runs the oscillatory integral.
+    when available, 'quadrature' always runs the oscillatory integral;
+    any other method raises ValueError.
 
     Schrodinger family: 'auto' is the Gaussian closed form (b = 0);
     ansatz radial data use the quadrature path with the chirped
@@ -146,6 +147,8 @@ class RadialEvaluator:
 
     def __init__(self, profile=None, quad: QuadSpec = DEFAULT_QUAD, method: str = "auto",
                  radial_fn=None, decay=None, amp_bound=None, d=None, family=WAVE, sign=1):
+        if method not in ("auto", "quadrature"):
+            raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
         self.quad = quad
         self.method = method
         if profile is not None:
@@ -187,12 +190,7 @@ class RadialEvaluator:
 
     @property
     def has_closed_form(self) -> bool:
-        return self.profile is not None and self.method in ("auto", "closed_form")
-
-    @property
-    def has_modulus_kernel(self) -> bool:
-        """|u|^2 comes from real arithmetic, without the complex field."""
-        return self.has_closed_form and self.family == WAVE
+        return self.profile is not None and self.method == "auto"
 
     # -- closed forms ------------------------------------------------------
 
@@ -285,6 +283,7 @@ class RadialEvaluator:
     def eval_grid(self, t, r, with_error: bool = False, modulus: bool = False):
         """u on the tensor grid t x r, adaptively refined by doubling;
         |u|^2 with modulus=True (an error e of u bounds |u|^2 by e (2|u| + e)).
+        Closed-form wave fields answer modulus=True in real arithmetic.
 
         Quadrature grids are refined in blocks of time nodes grouped by
         |t|, so small-|t| rows never pay for the oscillation rate of the
@@ -293,41 +292,31 @@ class RadialEvaluator:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if self.has_closed_form:
-            if modulus and self.has_modulus_kernel:
+            if modulus and self.family == WAVE:
                 vals = self._closed_form_abs2(t, r)
             else:
                 vals = self._closed_form_grid(t, r)
                 if modulus:
                     vals = np.abs(vals) ** 2
             return (vals, np.zeros(vals.shape)) if with_error else vals
-        if t.size <= _T_BLOCK:
-            vals, errs = self._refine_block(t, r)
-        else:
-            order = np.argsort(np.abs(t))
-            vals = np.empty((t.size, r.size), dtype=complex)
-            errs = np.empty((t.size, r.size)) if with_error else None
-            for i0 in range(0, t.size, _T_BLOCK):
-                idx = order[i0 : i0 + _T_BLOCK]
-                vals[idx], err = self._refine_block(t[idx], r)
-                if with_error:
-                    errs[idx] = err
+        order = np.argsort(np.abs(t))
+        vals = np.empty((t.size, r.size), dtype=complex)
+        errs = np.empty((t.size, r.size)) if with_error else None
+        for i0 in range(0, t.size, _T_BLOCK):
+            idx = order[i0 : i0 + _T_BLOCK]
+            vals[idx], err = self._refine_block(t[idx], r)
+            if with_error:
+                errs[idx] = err
         if modulus:
             if with_error:
                 errs = errs * (2.0 * np.abs(vals) + errs)
             vals = np.abs(vals) ** 2
         return (vals, errs) if with_error else vals
 
-    def __call__(self, t, r):
-        vals = self.eval_grid(np.atleast_1d(t), np.atleast_1d(r))
-        if np.isscalar(t) and np.isscalar(r):
-            return complex(vals[0, 0])
-        return vals
-
 
 def wave_eval(p: ExtremalProfile, t: float, r: float, method: str = "auto") -> complex:
     """u(t, x) at |x - center| = r for a wave profile (Re(b) = 0)."""
-    ev = RadialEvaluator(p, method=method)
-    return ev(float(t), float(r))
+    return complex(RadialEvaluator(p, method=method).eval_grid(float(t), float(r))[0, 0])
 
 
 def wave_center_value(p: ExtremalProfile, t: float) -> complex:
@@ -436,15 +425,3 @@ def schro_fft_1d(g: Grid1D, t: float, check_boundary: bool = True) -> Grid1D:
     fk = np.fft.fft(g.values)
     out = np.fft.ifft(fk * np.exp(-1j * t * g.k ** 2))
     return Grid1D(g.n, g.L, out)
-
-
-def dump_samples_csv(path, evaluator: RadialEvaluator, ts, rs):
-    """(t, r, Re u, Im u) samples for external plotting."""
-    ts = np.atleast_1d(ts)
-    rs = np.atleast_1d(rs)
-    vals = evaluator.eval_grid(ts, rs)
-    with open(path, "w") as fh:
-        fh.write("t,r,re_u,im_u\n")
-        for i, t in enumerate(ts):
-            for j, r in enumerate(rs):
-                fh.write("%.15g,%.15g,%.15g,%.15g\n" % (t, r, vals[i, j].real, vals[i, j].imag))

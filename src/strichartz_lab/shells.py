@@ -9,7 +9,7 @@ is evaluated three independent ways: the closed form (Lorentz reduction
 to (1,0) plus homogeneity), the one-dimensional recursion peeling off
 one frequency at a time, and smoothed importance-sampled Monte Carlo on
 the literal definition.  The paraboloid analogue for the Schrodinger
-shell is closed-form only.
+k-shell is closed-form only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from scipy import integrate
 
 from .constants import (
     alpha_exponent,
+    beta_exponent,
     log_beta_fn,
     log_sphere_area,
     sphere_area,
@@ -213,20 +214,28 @@ class SchroShell(NamedTuple):
     weighted: float
 
 
-def schro_shell(d: int, tau: float, xi) -> SchroShell:
-    """Paraboloid shell pair (Itilde(tau, xi), I) for 2 tau > |xi|^2.
+def schro_shell(d: int, k: int, tau: float, xi) -> SchroShell:
+    """Paraboloid k-shell pair (Itilde_k(tau, xi), I_k) for k tau > |xi|^2.
 
-    Itilde(tau, xi) = 2^{-(d-2)/2} (2 tau - |xi|^2)^{(d-2)/2} Itilde(1, 0)
-    with Itilde(1, 0) = 2^{-(d+2)/2} |S^{d-1}|, and the weighted constant
-    I = 2^{-d} |S^{d-1}| independent of the point.
+    Itilde_k(tau, xi) = int delta(tau - sum |eta_j|^2) delta(xi - sum eta_j) d eta.
+    Centre of mass: eta_j = xi/k + zeta_j with sum zeta_j = 0 puts the
+    fiber on the sphere |zeta| = R, R^2 = tau - |xi|^2/k, of the
+    (k-1)d-dimensional plane, whose coordinates eta_1..eta_{k-1} carry
+    k^{-d/2} times its surface measure:
+
+        Itilde_k = 1/2 k^{-d/2} |S^{(k-1)d-1}| R^{(k-1)d-2}.
+
+    The weighted constant I_k = Itilde_k / (k tau - |xi|^2)^{beta(d,k)} is
+    taken through the point; it is point-independent, and at k = 2 equals
+    2^{-d} |S^{d-1}|.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
+    if d < 1 or k < 2:
+        raise ValueError("need d >= 1 and k >= 2")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    gap = 2.0 * tau - float(np.dot(xi, xi))
+    gap = k * tau - float(np.dot(xi, xi))
     if gap <= 0.0:
-        raise ValueError("paraboloid shell needs 2 tau > |xi|^2")
-    unit = 2.0 ** (-(d + 2) / 2.0) * sphere_area(d)
-    value = 2.0 ** (-(d - 2) / 2.0) * gap ** ((d - 2) / 2.0) * unit
-    weighted = 2.0 ** (-d) * sphere_area(d)
+        raise ValueError("paraboloid shell needs k tau > |xi|^2")
+    n = (k - 1) * d
+    value = 0.5 * k ** (-0.5 * d) * sphere_area(n) * (gap / k) ** (0.5 * n - 1.0)
+    weighted = value / gap ** float(beta_exponent(d, k))
     return SchroShell(ShellResult(value, CLOSED_FORM), weighted)

@@ -78,6 +78,15 @@ def test_constants_wave_rows_fail_on_a_wrong_catalog(monkeypatch):
     assert run(["constants", "--family", "wave"]) == 1
 
 
+def test_constants_schrodinger_rows_fail_on_a_wrong_catalog(monkeypatch):
+    # The Schrodinger rows check S(d,k) against (2pi)^{1-d(2k-1)} I_k from
+    # the paraboloid shell, so a perturbed k-linear formula must fail them.
+    real = C.log_schrodinger_sharp_constant_klinear
+    monkeypatch.setattr(C, "log_schrodinger_sharp_constant_klinear",
+                        lambda d, k: real(d, k) + 1e-9)
+    assert run(["constants", "--family", "schrodinger", "--k", "3"]) == 1
+
+
 def test_point_flag_parsing():
     code = run(["shells", "--d", "3", "--k", "2", "--point", "2.0,0.5,0.0,0.0",
                 "--seed", "3"])

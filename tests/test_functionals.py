@@ -46,6 +46,13 @@ def test_lp_norm_insufficient_decay_guard(ev5):
         FN.lp_norm_radial(ev5, 2)
 
 
+@pytest.mark.parametrize("tail_factor", [1.0, 0.5])
+def test_default_window_needs_tails_beyond_the_core(ev5, tail_factor):
+    # At tail_factor <= 1 the geometric tails would run backwards.
+    with pytest.raises(ValueError, match="tail_factor"):
+        FN.default_window([ev5], tail_factor=tail_factor)
+
+
 def test_d3_sextic_equals_sobolev_product():
     # ||u||_6^6 = (3/(16 pi^3)) H E^2 with H, E the data norms.
     p = P.wave_profile(3, -1.3, c=0.2)
@@ -342,18 +349,23 @@ def test_field_wrappers_share_the_base_protocol():
     assert FN._pick_mode([u, u], "auto") == "cone"
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, "schrodinger", "sum"])
 def test_modulus_route_matches_complex_inner_product(d):
-    # Same driver and nodes: the squared norm through the real modulus
-    # kernel against <prod u, prod u> through the complex fields.
-    rng = np.random.default_rng(100 + d)
-    evs = [
-        PR.RadialEvaluator(P.wave_profile(
-            d, complex(-math.exp(0.3 * rng.normal()), 0.35 * rng.normal()),
-            c=complex(0.3 * rng.normal(), math.pi * rng.random())))
-        for _ in range(2)
-    ]
-    assert all(ev.has_modulus_kernel for ev in evs)
+    # Same driver and nodes: the squared norm through eval_grid(modulus=True)
+    # (the real kernel for closed-form wave fields) against
+    # <prod u, prod u> through the complex fields.
+    if d == "sum":
+        fp, fm = P.canonical_energy_pair(3)
+        evs = [FN.SumEvaluator(PR.RadialEvaluator(fp), PR.RadialEvaluator(fm))] * 3
+    else:
+        make, d = (P.schrodinger_profile, 3) if d == "schrodinger" else (P.wave_profile, d)
+        rng = np.random.default_rng(100 + d)
+        evs = [
+            PR.RadialEvaluator(make(
+                d, complex(-math.exp(0.3 * rng.normal()), 0.35 * rng.normal()),
+                c=complex(0.3 * rng.normal(), math.pi * rng.random())))
+            for _ in range(2)
+        ]
     lhs, _ = FN.product_l2_sq(evs)
     inner, _ = FN.spacetime_inner(evs, evs, nonneg=True)
     assert inner.real == pytest.approx(lhs, rel=1e-12)

@@ -204,14 +204,10 @@ def test_grid1d_mass_conservation_and_boundary_guard():
         PR.schro_fft_1d(bad, 0.1)
 
 
-def test_dump_samples_csv(tmp_path):
-    p = P.wave_profile(3, -1.0)
-    ev = PR.RadialEvaluator(p)
-    path = tmp_path / "field.csv"
-    PR.dump_samples_csv(path, ev, [0.0, 1.0], [0.0, 0.5])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,r,re_u,im_u"
-    assert len(lines) == 5
+@pytest.mark.parametrize("method", ["quadature", "closed_form", "Auto"])
+def test_unknown_method_is_rejected(method):
+    with pytest.raises(ValueError, match="method"):
+        PR.RadialEvaluator(P.wave_profile(3, -1.0), method=method)
 
 
 def test_unconverged_quadrature_raises_with_best_and_error():
@@ -281,7 +277,6 @@ def _fields_without_modulus_kernel():
 def test_fields_without_modulus_kernel_return_abs_squared(name):
     ev = _fields_without_modulus_kernel()[name]
     t, r = np.linspace(-3.0, 3.0, 5), np.linspace(0.0, 6.0, 4)
-    assert not ev.has_modulus_kernel
     assert np.array_equal(ev.eval_grid(t, r, modulus=True), np.abs(ev.eval_grid(t, r)) ** 2)
 
 

@@ -80,20 +80,20 @@ def test_i_weighted_constancy_and_values():
 
 
 def test_schro_shell_values_and_galilean():
-    res = S.schro_shell(2, 1.0, [0.0, 0.0])
+    res = S.schro_shell(2, 2, 1.0, [0.0, 0.0])
     assert res.itilde.value == pytest.approx(math.pi / 2.0, rel=1e-13)
     for d in (1, 2, 3, 5):
-        out = S.schro_shell(d, 1.7, [0.9] + [0.0] * (d - 1))
+        out = S.schro_shell(d, 2, 1.7, [0.9] + [0.0] * (d - 1))
         assert out.weighted == pytest.approx(2.0 ** -d * sphere_area(d), rel=1e-13)
     # depends only on 2 tau - |xi|^2 (Galilean covariance of the shell)
     v = np.array([0.7, -0.3])
     tau, xi = 1.3, np.array([0.2, 0.5])
     shifted_tau = tau + 2 * float(xi @ v) + float(v @ v)
-    a = S.schro_shell(2, tau, xi).itilde.value
-    b = S.schro_shell(2, shifted_tau, xi + v).itilde.value
+    a = S.schro_shell(2, 2, tau, xi).itilde.value
+    b = S.schro_shell(2, 2, shifted_tau, xi + v).itilde.value
     assert a == pytest.approx(b, rel=1e-13)
     with pytest.raises(ValueError):
-        S.schro_shell(2, 0.4, [1.0, 0.0])
+        S.schro_shell(2, 2, 0.4, [1.0, 0.0])
 
 
 def test_schro_shell_unit_value_quadrature_oracle():
@@ -106,8 +106,29 @@ def test_schro_shell_unit_value_quadrature_oracle():
         ) * r ** (d - 1)
         val, _ = integrate.quad(fn, r0 - 40 * eps, r0 + 40 * eps,
                                 epsabs=1e-13, epsrel=1e-10, limit=300)
-        want = S.schro_shell(d, 1.0, [0.0] * d).itilde.value
+        want = S.schro_shell(d, 2, 1.0, [0.0] * d).itilde.value
         assert sphere_area(d) * val == pytest.approx(want, rel=1e-6)
+
+
+def test_schro_k_shell_weighted_constant_is_point_independent():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5):
+        for k in (3, 4):
+            unit = S.schro_shell(d, k, 1.0, np.zeros(d)).weighted
+            for _ in range(5):
+                xi = rng.normal(size=d)
+                tau = float(xi @ xi) / k + math.exp(rng.normal())
+                got = S.schro_shell(d, k, tau, xi).weighted
+                assert got == pytest.approx(unit, rel=1e-12)
+    # d = 1, k = 3: the fiber is the ellipse a^2 + b^2 + (xi - a - b)^2 = tau,
+    # a quadratic form of determinant 3, so Itilde_3 = pi / sqrt(3) everywhere.
+    for _ in range(5):
+        xi = rng.normal()
+        tau = xi * xi / 3.0 + math.exp(rng.normal())
+        got = S.schro_shell(1, 3, tau, [xi]).itilde.value
+        assert got == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-13)
+    with pytest.raises(ValueError):
+        S.schro_shell(2, 3, 0.3, [1.0, 0.0])
 
 
 def test_montecarlo_matches_closed_form():
