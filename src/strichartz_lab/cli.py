@@ -26,6 +26,7 @@ from .search import (SUPPORTED_CASES, SearchConfig, search as run_search,
                      symmetry_invariance_audit, trace_to_csv)
 from . import shells as SH
 from .geometry import ConePoint, boost_defects, paraboloid_defect
+from .mc import chunk_generator
 
 
 def _case(suite, case_id, lhs, rhs, constant, ok, stderr=0.0, seed=0, **extra):
@@ -52,26 +53,20 @@ def suite_constants(args):
     ks = [args.k] if args.k else [2, 3, 4]
     fams = [args.family] if args.family else list(C.FAMILIES)
     cases = []
-    for fam in fams:
-        for d in ds:
-            for k in ks:
-                try:
-                    scale = C.EstimateScale(d, k, fam)
-                except ValueError:
-                    continue
-                const = scale.sharp_constant
-                # W(d,k) and S(d,k) = (2pi)^{1-d(2k-1)} I_k, the weighted
-                # cone or paraboloid shell constant at (1, 0).
-                if fam == C.WAVE:
-                    unit = SH.i_weighted(d, k, ConePoint(1.0, np.zeros(d))).value
-                else:
-                    unit = SH.schro_shell(d, k, 1.0, np.zeros(d)).weighted
-                alt = (2.0 * math.pi) ** (1 - d * (2 * k - 1)) * unit
-                ok = abs(const - alt) <= 1e-12 * const
-                cases.append(
-                    _case("constants", f"{fam}_d{d}_k{k}", const, alt, 1.0, ok,
-                          exponent=float(scale.exponent), attained=scale.attained)
-                )
+    for row in C.constants_rows(ds, ks, fams):
+        fam, d, k, const = row["family"], row["d"], row["k"], row["constant"]
+        # W(d,k) and S(d,k) = (2pi)^{1-d(2k-1)} I_k, the weighted
+        # cone or paraboloid shell constant at (1, 0).
+        if fam == C.WAVE:
+            unit = SH.i_weighted(d, k, ConePoint(1.0, np.zeros(d))).value
+        else:
+            unit = SH.schro_shell(d, k, 1.0, np.zeros(d)).weighted
+        alt = (2.0 * math.pi) ** (1 - d * (2 * k - 1)) * unit
+        ok = abs(const - alt) <= 1e-12 * const
+        cases.append(
+            _case("constants", f"{fam}_d{d}_k{k}", const, alt, 1.0, ok,
+                  exponent=row["exponent"], attained=C.EstimateScale(d, k, fam).attained)
+        )
     s12 = C.schrodinger_sharp_constant(1, 2)
     cases.append(
         _case("constants", "schro_identity_factor_2", s12,
@@ -136,7 +131,7 @@ def _check_bilinear(args):
 def suite_bilinear(args):
     """Sharp k-linear wave inequality: extremal ratio 1, random ratios < 1."""
     d, k = args.d or 5, args.k or 2
-    rng = np.random.Generator(np.random.Philox(key=np.array([np.uint64(args.seed), np.uint64(1)])))
+    rng = chunk_generator(args.seed, 1)
     tuples = [("extremal", [P.wave_profile(d, -1.0, c=0.1 * j) for j in range(k)], args.seed)]
     for trial in range(args.random_cases):
         profs = [
@@ -242,7 +237,7 @@ def suite_search(args):
 
 def suite_audit(args):
     """Geometry invariances and the symmetry behaviour of the quotients."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([np.uint64(args.seed), np.uint64(2)])))
+    rng = chunk_generator(args.seed, 2)
     cases = []
     worst_form, worst_det, worst_group = boost_defects(rng, 200)
     cases.append(_case("audit", "lorentz_form_invariance", worst_form, 1e-10, 1.0,
@@ -306,16 +301,25 @@ SUITES = {
 }
 
 
-def _load_config(path):
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+def _config_flags(ap, path):
+    """The flat `key = value` lines of a config file as `--key=value` flags."""
+    options = {a.dest: a.option_strings[-1] for a in ap._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        ap.error(f"cannot read config file: {exc}")
+    flags = []
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            ap.error(f"unknown config key {key!r}")
+        flags.append(f"{options[key]}={val.strip()}")
+    return flags
 
 
 def build_parser():
@@ -324,7 +328,7 @@ def build_parser():
         description="Numerical verification suites for sharp wave/Schrodinger estimates",
     )
     ap.add_argument("command", choices=list(SUITES) + ["all"])
-    ap.add_argument("--config", help="flat key=value file; flags override")
+    ap.add_argument("--config", help="flat key=value file of flag values; flags override")
     ap.add_argument("--d", type=int)
     ap.add_argument("--k", type=int)
     ap.add_argument("--family", choices=list(C.FAMILIES))
@@ -345,15 +349,11 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
     if args.config:
-        actions = {a.dest: a for a in ap._actions}
-        for key, val in _load_config(args.config).items():
-            if key not in actions:
-                ap.error(f"unknown config key {key!r}")
-            if getattr(args, key) == ap.get_default(key):  # flag not explicitly set
-                caster = actions[key].type or str
-                setattr(args, key, caster(val))
+        # Config values parse as flags placed first, so explicit flags win.
+        args = ap.parse_args(_config_flags(ap, args.config) + argv)
     names = list(SUITES) if args.command == "all" else [args.command]
     try:
         for name in names:

@@ -20,12 +20,14 @@ import numpy as np
 from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
-from .mc import McEstimate, mc_mean
-from .profiles import ExtremalProfile, sobolev_norm_sq, _angular_nodes
+from .mc import McEstimate, chunk_generator, mc_mean
+from .profiles import ExtremalProfile, sobolev_norm_sq
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
-from .quadrules import gauss_nodes as _gauss_nodes, panel_nodes
+from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
 
 _PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
+# The d = 4 Schrodinger mixed-norm constant (32 pi)^{-1/4}.
+SCHRO_D4_CONSTANT = (32.0 * math.pi) ** -0.25
 
 
 # ---------------------------------------------------------------------------
@@ -65,21 +67,6 @@ class QuotientReport:
         """A deficit counts as strict only beyond 10 x numerical error."""
         return self.deficit > 10.0 * self.combined_err
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "lhs_err": self.lhs_err,
-            "rhs": self.rhs,
-            "rhs_err": self.rhs_err,
-            "constant": self.constant,
-            "ratio": self.ratio,
-            "deficit": self.deficit,
-            "meta": self.meta,
-        }
-
-    def to_json(self) -> str:
-        return json_line(self.to_dict())
-
 
 def _round15(obj):
     if isinstance(obj, float):
@@ -107,36 +94,21 @@ def json_line(obj: dict) -> str:
 # eval_grid(t, r, modulus=True); the composite fields return np.abs(u) ** 2.
 
 
-class SumEvaluator:
-    """Pointwise sum of co-centred radial fields of one family (e.g. u_+ + u_-)."""
-
-    def __init__(self, *evaluators):
-        self.parts = evaluators
-        self.d = evaluators[0].d
-        self.family = evaluators[0].family
-        self.decay = min(ev.decay for ev in evaluators)
-        self.t_peaks = [t for ev in evaluators for t in ev.t_peaks]
-        self.has_closed_form = all(ev.has_closed_form for ev in evaluators)
-
-    def eval_grid(self, t, r, modulus: bool = False):
-        out = self.parts[0].eval_grid(t, r)
-        for ev in self.parts[1:]:
-            out = out + ev.eval_grid(t, r)
-        return np.abs(out) ** 2 if modulus else out
-
-
 class MappedEvaluator:
-    """Pointwise map of one field, e.g. np.conj (same modulus, reversed
-    phases) or np.negative; everything but the values is the base's."""
+    """Pointwise map fn(u_1, ..., u_m) of co-centred radial fields of one
+    family: np.add(u_+, u_-) for the sum, np.conj(u) (same modulus,
+    reversed phases) or np.negative(u).  d and family are the first
+    field's, decay the smallest, t_peaks every field's."""
 
-    def __init__(self, base, fn):
-        self.base = base
-        self.fn = fn
-        self.d, self.family, self.decay = base.d, base.family, base.decay
-        self.t_peaks, self.has_closed_form = base.t_peaks, base.has_closed_form
+    def __init__(self, fn, *fields):
+        self.fn, self.fields = fn, fields
+        self.d, self.family = fields[0].d, fields[0].family
+        self.decay = min(f.decay for f in fields)
+        self.t_peaks = [t for f in fields for t in f.t_peaks]
+        self.has_closed_form = all(f.has_closed_form for f in fields)
 
     def eval_grid(self, t, r, modulus: bool = False):
-        out = self.fn(self.base.eval_grid(t, r))
+        out = self.fn(*(f.eval_grid(t, r) for f in self.fields))
         return np.abs(out) ** 2 if modulus else out
 
 
@@ -256,13 +228,16 @@ def spacetime_integral(
     F maps (t_nodes, r_nodes) to an (nt, nr) array (complex allowed).
     The dimension, the default window, the ridge width (half the
     smallest decay) and the driver (_pick_mode) all come from the fields.
-    Panel counts double per level until successive passes agree to
-    rel_tol; the returned error adds a window-growth check (both tails
-    extended ext_factor x at the accepted level).  For nonnegative
+    Panel counts double per level (at most max_levels >= 1 times) until
+    successive passes agree to rel_tol; the returned error adds a
+    window-growth check (both tails extended ext_factor x at the
+    accepted level).  For nonnegative
     integrands the two window sizes also drive a power-law tail
     completion (exact for cumulative 1/T tails, conservative error
     otherwise), which matters for the slowly decaying d = 2 sextics.
     """
+    if max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     d = evaluators[0].d
     if window is None:
         window = default_window(evaluators)
@@ -271,20 +246,17 @@ def spacetime_integral(
     cone = lambda f, dd, w, l: _cone_pass(f, dd, w, l, ridge_width)
     run = _rect_pass if _pick_mode(evaluators, mode) == "rect" else cone
     prev = run(F, d, window, 0)
-    value, err = prev, None
     for level in range(1, max_levels + 1):
         value = run(F, d, window, level)
         err = abs(value - prev)
         if err <= rel_tol * abs(value):
             break
         prev = value
-    else:
-        level = max_levels
     if check_window:
         wide = replace(window, t_max=ext_factor * window.t_max, r_max=ext_factor * window.r_max)
         ext = run(F, d, wide, min(level, 1))
         delta = ext - value
-        err = (err or 0.0) + abs(delta)
+        err += abs(delta)
         if nonneg and abs(complex(delta).imag) < 1e-12 * abs(ext):
             # Missing mass beyond T_ext for a cumulative c/T tail equals
             # delta/(ext_factor - 1); add it and keep |delta| as the bound.
@@ -301,7 +273,9 @@ def _pick_mode(evaluators, mode: str) -> str:
     """'auto' runs the cone-following driver when every factor is a
     cheap closed-form wave kernel (per-row evaluation), else the
     shared-grid rectangular driver (kernel matrices reused across a
-    time block)."""
+    time block); 'rect' and 'cone' force a driver, anything else raises."""
+    if mode not in ("auto", "rect", "cone"):
+        raise ValueError(f"mode must be 'auto', 'rect' or 'cone', got {mode!r}")
     if mode != "auto":
         return mode
     cone = all(ev.family == WAVE and ev.has_closed_form for ev in evaluators)
@@ -497,7 +471,7 @@ def term_II(p: ExtremalProfile) -> dict:
     if beta == 0.0:
         V = 0.0
     else:
-        u, w = _angular_nodes(d, 400)
+        u, w = angular_nodes(d, 400)
         vals = u * (2.0 * (sigma - beta * u)) ** (-float(d))
         V = amp * sphere_area(d - 1) * math.gamma(d) * float(np.dot(w, vals))
     spect = H ** (k - 2)
@@ -547,7 +521,7 @@ def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile) -> Quotie
     if f_plus.sign != 1 or f_minus.sign != -1:
         raise ValueError("pass the (+, -) split pair")
     ev_p, ev_m = RadialEvaluator(f_plus), RadialEvaluator(f_minus)
-    lhs, lhs_err = lp_norm_radial(SumEvaluator(ev_p, ev_m), 4,
+    lhs, lhs_err = lp_norm_radial(MappedEvaluator(np.add, ev_p, ev_m), 4,
                                   window=default_window([ev_p, ev_m]), rel_tol=1e-7)
     energy = 2.0 * (sobolev_norm_sq(f_plus, 1.0) + sobolev_norm_sq(f_minus, 1.0))
     return QuotientReport(
@@ -570,7 +544,7 @@ def orthogonal_split_check(f_plus: ExtremalProfile, f_minus: ExtremalProfile) ->
     """
     ev_p, ev_m = RadialEvaluator(f_plus), RadialEvaluator(f_minus)
     kw = dict(window=default_window([ev_p, ev_m]), rel_tol=1e-7)
-    u = SumEvaluator(ev_p, ev_m)
+    u = MappedEvaluator(np.add, ev_p, ev_m)
     total, e0 = product_l2_sq([u, u], **kw)
     pp, e1 = product_l2_sq([ev_p, ev_p], **kw)
     mm, e2 = product_l2_sq([ev_m, ev_m], **kw)
@@ -601,11 +575,11 @@ def cross_term_gap(mode: str = "paper") -> dict:
     u0 = wave_profile(2, -1.0, c=math.log(math.pi))
     ev_p = RadialEvaluator(u0)
     if mode == "paper":
-        ev_m = MappedEvaluator(ev_p, np.conj)
+        ev_m = MappedEvaluator(np.conj, ev_p)
     elif mode == "coincident":
         ev_m = ev_p
     elif mode == "negated":
-        ev_m = MappedEvaluator(ev_p, np.negative)
+        ev_m = MappedEvaluator(np.negative, ev_p)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     win = default_window([ev_p], tail_factor=60.0)
@@ -667,7 +641,7 @@ def mixed_norm_quotient(p: ExtremalProfile) -> QuotientReport:
         lhs_err=0.0,
         rhs=rhs,
         rhs_err=0.0,
-        constant=(32.0 * math.pi) ** -0.25,
+        constant=SCHRO_D4_CONSTANT,
         meta={"case": "schro_mixed_d4"},
     )
 
@@ -691,7 +665,7 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     span = math.sqrt(70.0 / (2.0 * decay))
     q, wq = _gauss_nodes(n_q, 0.0, 2.0 * span)
     R, wR = _gauss_nodes(n_q, 0.0, 2.0 * span)
-    u, wu = _angular_nodes(d, n_u)
+    u, wu = angular_nodes(d, n_u)
     Q, RR, U = np.meshgrid(q, R, u, indexing="ij")
     A = 0.25 * Q * Q + RR * RR
     B = Q * RR
@@ -704,8 +678,7 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
 
 
-def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float, n_tau: int = 100,
-                            n_u: int = 48) -> float:
+def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     """||u_1 u_2||_{L^2_{t,x}}^2 for radial-modulus wave data, fiber route.
 
     With |xi| fhat_j = g_j(|xi|), the product transform is carried by the
@@ -722,9 +695,9 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float, n_tau: int = 100,
     the tau cutoff.
     """
     span = 80.0 / decay
-    tau, wt = _gauss_nodes(n_tau, 0.0, span)
-    x, wx = _gauss_nodes(n_tau, 0.0, 1.0)  # q = tau * x
-    u, wu = _angular_nodes(d, n_u)
+    tau, wt = _gauss_nodes(100, 0.0, span)
+    x, wx = _gauss_nodes(100, 0.0, 1.0)  # q = tau * x
+    u, wu = angular_nodes(d, 48)
     T = tau[:, None, None]
     Q = T * x[None, :, None]
     U = u[None, None, :]
@@ -741,22 +714,23 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float, n_tau: int = 100,
     return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
 
 
-def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float, n: int = 800) -> float:
-    """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
-    rmax = 80.0 / decay
-    r, wr = _gauss_nodes(n, 0.0, rmax)
+def _radial_norm_sq(radial_fn, d: int, power: float, rmax: float) -> float:
+    """(2pi)^{-d} |S^{d-1}| int_0^rmax |g(r)|^2 r^power dr, 800 Gauss nodes."""
+    r, wr = _gauss_nodes(800, 0.0, rmax)
     g = np.abs(np.asarray(radial_fn(r))) ** 2
-    val = float(np.dot(wr, g * r ** (2.0 * s + d - 3.0)))
+    val = float(np.dot(wr, g * r ** power))
     return sphere_area(d) * val / (2.0 * math.pi) ** d
 
 
-def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float, n: int = 800) -> float:
+def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
+    """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
+    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, 80.0 / decay)
+
+
+def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 1} dr for radial fhat = g."""
     rmax = math.sqrt(max(60.0, -math.log(1e-280)) / (2.0 * decay)) + 3.0
-    r, wr = _gauss_nodes(n, 0.0, rmax)
-    g = np.abs(np.asarray(radial_fn(r))) ** 2
-    val = float(np.dot(wr, g * r ** (2.0 * s + d - 1.0)))
-    return sphere_area(d) * val / (2.0 * math.pi) ** d
+    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, rmax)
 
 
 def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> QuotientReport:
@@ -789,7 +763,7 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
         lhs_err=lhs_err,
         rhs=rhs,
         rhs_err=0.0,
-        constant=(32.0 * math.pi) ** -0.25,
+        constant=SCHRO_D4_CONSTANT,
         meta={"case": "schro_ansatz_d4", "route": route},
     )
 
@@ -808,7 +782,7 @@ def functional_eq_residual(g, d: int, seed: int = 0, cone_scale: float = 1.0) ->
     the principal log of the ratio (exactly 0 for exponential profiles).
     """
     n_samples = 2000
-    rng = np.random.Generator(np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0)])))
+    rng = chunk_generator(seed, 0)
     xi = cone_scale * rng.normal(size=(n_samples, d))
     ratios = 1.2 + 2.8 * rng.random(n_samples)
     tau = np.linalg.norm(xi, axis=1) * ratios

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo plumbing: splittable streams and mean/stderr reports.
 
 All randomness in the package flows through Philox streams keyed by
-(seed, chunk index).  Philox is counter-based, so the per-chunk streams
-are independent and the estimate for a given (seed, n) is bit-identical
-no matter how chunks are scheduled across workers: partial sums are
-reduced in chunk order after the fact.
+(seed, stream index).  Philox is counter-based, so the streams are
+independent; Monte Carlo means use one stream per chunk, and the
+estimate for a given (seed, n) is bit-identical no matter how chunks
+are scheduled across workers: partial sums are reduced in chunk order
+after the fact.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class McEstimate:
     seed: int
 
 
-def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent stream for one chunk of one seeded run."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk_index)])
+def chunk_generator(seed: int, index: int) -> np.random.Generator:
+    """Independent stream `index` of one seeded run (seeds wrap mod 2^64)."""
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import WAVE, SCHRODINGER, sphere_area, log_sphere_area
-from .quadrules import gauss_nodes as _gauss_legendre
+from .quadrules import angular_nodes, gauss_nodes
 
 # Angular Gauss nodes of the tilted-norm quadratures (8x as many radial).
 _N_QUAD = 200
@@ -129,7 +129,7 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
                 * math.exp(math.lgamma(m + 1.0) - (m + 1.0) * math.log(2.0 * sigma))
                 / (2.0 * math.pi) ** d
             )
-        u, w = _angular_nodes(d, _N_QUAD)
+        u, w = angular_nodes(d, _N_QUAD)
         vals = (2.0 * (sigma - beta * u)) ** (-(m + 1.0))
         ang = float(np.dot(w, vals))
         return amp * sphere_area(d - 1) * math.gamma(m + 1.0) * ang / (2.0 * math.pi) ** d
@@ -154,29 +154,17 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
     return _schro_norm_quad(p, s)
 
 
-def _angular_nodes(d, n):
-    """Nodes/weights for int_{-1}^1 (1-u^2)^{(d-3)/2} h(u) du.
-
-    Written as int_0^pi sin^{d-2}(theta) h(cos theta) dtheta, which is
-    smooth at the endpoints for every d >= 2, so Gauss-Legendre in theta
-    converges spectrally (the raw u-form has endpoint singularities for
-    even d).
-    """
-    theta, w = _gauss_legendre(n, 0.0, math.pi)
-    return np.cos(theta), w * np.sin(theta) ** (d - 2)
-
-
 def _schro_norm_quad(p, s):
     sigma, beta, d = p.decay, p.tilt, p.d
     amp = math.exp(2.0 * p.c.real)
     rmax = math.sqrt((50.0 + beta * beta / sigma) / (2.0 * sigma)) + beta / sigma + 5.0
-    r, wr = _gauss_legendre(8 * _N_QUAD, 0.0, rmax)
+    r, wr = gauss_nodes(8 * _N_QUAD, 0.0, rmax)
     if d == 1:
         radial = r ** (2.0 * s) * np.exp(-2.0 * sigma * r * r) * (
             np.exp(2.0 * beta * r) + np.exp(-2.0 * beta * r)
         )
         return amp * float(np.dot(wr, radial)) / (2.0 * math.pi)
-    u, wu = _angular_nodes(d, _N_QUAD)
+    u, wu = angular_nodes(d, _N_QUAD)
     ang = np.exp(2.0 * beta * np.outer(r, u))
     radial = r ** (2.0 * s + d - 1.0) * np.exp(-2.0 * sigma * r * r)
     total = float(np.dot(radial * wr, ang @ wu))

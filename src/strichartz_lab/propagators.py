@@ -146,11 +146,10 @@ class RadialEvaluator:
     """
 
     def __init__(self, profile=None, quad: QuadSpec = DEFAULT_QUAD, method: str = "auto",
-                 radial_fn=None, decay=None, amp_bound=None, d=None, family=WAVE, sign=1):
+                 radial_fn=None, decay=None, amp_bound=None, d=None, family=WAVE):
         if method not in ("auto", "quadrature"):
             raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
-        self.quad = quad
-        self.method = method
+        sign = 1  # ansatz data ride the + sheet
         if profile is not None:
             if profile.tilt != 0.0:
                 raise ValueError("radial evaluation needs Re(b) = 0")
@@ -158,23 +157,13 @@ class RadialEvaluator:
                 raise ValueError("inadmissible wave profile")
             if profile.family == SCHRODINGER and np.any(profile.b != 0):
                 raise ValueError("schrodinger radial evaluation needs b = 0")
-            self.profile = profile
-            self.d = profile.d
-            self.family = profile.family
-            self.sign = profile.sign
-            self._g = profile.freq_amplitude
-            self.decay = profile.decay
-            self.amp_bound = math.exp(profile.c.real)
-        else:
-            if radial_fn is None or decay is None or d is None:
-                raise ValueError("ansatz evaluators need radial_fn, decay and d")
-            self.profile = None
-            self._g = radial_fn
-            self.decay = float(decay)
-            self.amp_bound = float(amp_bound if amp_bound is not None else 1.0)
-            self.d = int(d)
-            self.family = family
-            self.sign = sign
+            radial_fn, decay, d = profile.freq_amplitude, profile.decay, profile.d
+            amp_bound, family, sign = math.exp(profile.c.real), profile.family, profile.sign
+        elif radial_fn is None or decay is None or d is None:
+            raise ValueError("ansatz evaluators need radial_fn, decay and d")
+        self.quad, self.method, self.profile, self._g = quad, method, profile, radial_fn
+        self.decay, self.d, self.family, self.sign = float(decay), int(d), family, sign
+        self.amp_bound = float(amp_bound if amp_bound is not None else 1.0)
 
     # -- field protocol ----------------------------------------------------
 
@@ -398,12 +387,12 @@ class Grid1D:
     def l2_mass(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.dx)
 
-    def boundary_decayed(self, tol: float = 1e-12) -> bool:
+    def boundary_decayed(self) -> bool:
         peak = float(np.max(np.abs(self.values)))
         if peak == 0.0:
             return True
         edge = max(abs(self.values[0]), abs(self.values[-1]))
-        return edge <= tol * peak
+        return edge <= 1e-12 * peak
 
 
 def grid_from_freq_data(fhat, n: int, L: float) -> Grid1D:

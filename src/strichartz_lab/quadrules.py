@@ -1,8 +1,10 @@
-"""Cached Gauss-Legendre rules (node generation is O(n^2); reuse them)
-and the one exception every adaptive quadrature raises."""
+"""Cached Gauss-Legendre rules (node generation is O(n^2); reuse them),
+the angular rule built on them, and the one exception every adaptive
+quadrature raises."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +31,18 @@ def panel_nodes(edges, n: int):
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     return nodes, (half[:, None] * w[None, :]).ravel()
+
+
+def angular_nodes(d: int, n: int):
+    """Nodes/weights for int_{-1}^1 (1-u^2)^{(d-3)/2} h(u) du.
+
+    Written as int_0^pi sin^{d-2}(theta) h(cos theta) dtheta, which is
+    smooth at the endpoints for every d >= 2, so Gauss-Legendre in theta
+    converges spectrally (the raw u-form has endpoint singularities for
+    even d).
+    """
+    theta, w = gauss_nodes(n, 0.0, math.pi)
+    return np.cos(theta), w * np.sin(theta) ** (d - 2)
 
 
 class QuadratureError(RuntimeError):

@@ -24,6 +24,8 @@ from scipy import optimize
 
 from .constants import WAVE, SCHRODINGER
 from . import functionals as FN
+from .mc import chunk_generator
+from .propagators import QuadSpec, RadialEvaluator
 from .quadrules import QuadratureError
 
 SUPPORTED_CASES = {
@@ -104,14 +106,12 @@ def quotient_objective(d: int, k: int, family: str):
             lhs4 = FN.schro_quartic_norm4(g, 4, sigma)
             l2 = FN.schro_radial_norm_sq(g, 4, 0.0, sigma)
             h1 = FN.schro_radial_norm_sq(g, 4, 1.0, sigma)
-            return lhs4 ** 0.25 / ((32.0 * math.pi) ** -0.25 * (l2 * h1) ** 0.25)
+            return lhs4 ** 0.25 / (FN.SCHRO_D4_CONSTANT * (l2 * h1) ** 0.25)
         if case == (5, 2, WAVE):
             lhs4 = FN.wave_bilinear_lhs_fiber(g, g, 5, sigma)
             E = FN.wave_radial_norm_sq(g, 5, 1.0, sigma)
             return lhs4 ** 0.25 / ((FN.C.wave_onefn_constant(5) * E * E) ** 0.25)
         # (3, 3, WAVE): sextic via the propagator route (slowest case).
-        from .propagators import RadialEvaluator, QuadSpec
-
         ev = RadialEvaluator(
             radial_fn=g, decay=sigma, amp_bound=profile.amp_bound(), d=3,
             family=WAVE, quad=QuadSpec(rel_tol=1e-4, abs_tol=1e-10),
@@ -148,9 +148,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     in diag['failed_evals']; any other error propagates.
     """
     objective = quotient_objective(d, k, family)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([np.uint64(config.seed), np.uint64(0)]))
-    )
+    rng = chunk_generator(config.seed, 0)
     trace = SearchTrace()
     best_theta, best_q = None, -math.inf
     evals_used = failed_evals = 0
@@ -164,7 +162,6 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             start[1:] = rng.normal(scale=_INIT_SPREAD, size=config.m - 1)
         counter = [0, 0]  # evaluations, quadrature failures
         improvements = []
-        run_best = [-math.inf]
 
         def neg_q(theta):
             counter[0] += 1
@@ -175,8 +172,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             except QuadratureError:
                 counter[1] += 1
                 return 0.0
-            if q > run_best[0]:
-                run_best[0] = q
+            if q > (improvements[-1][1] if improvements else -math.inf):
                 improvements.append((tuple(theta), q))
             return -q
 
@@ -197,9 +193,8 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
         for theta, q in improvements:
             if not trace.iterates or q >= trace.iterates[-1][1]:
                 trace.iterates.append((theta, q))
-        if improvements and run_best[0] > best_q:
-            best_q = run_best[0]
-            best_theta = np.asarray(max(improvements, key=lambda tq: tq[1])[0])
+        if improvements and improvements[-1][1] > best_q:
+            best_theta, best_q = np.asarray(improvements[-1][0]), improvements[-1][1]
         if res.success:
             trace.terminated_by = "tolerance"
 

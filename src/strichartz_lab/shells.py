@@ -29,7 +29,7 @@ from .constants import (
     log_sphere_area,
     sphere_area,
 )
-from .geometry import ConePoint
+from .geometry import ConePoint, minkowski_form
 from .mc import mc_mean
 from .quadrules import QuadratureError
 
@@ -58,10 +58,6 @@ def _require_interior(p: ConePoint):
         raise ValueError("shell formulas require tau > |xi|")
 
 
-def _rho(p: ConePoint) -> float:
-    return p.tau * p.tau - float(np.dot(p.xi, p.xi))
-
-
 def log_itilde_unit(d: int, k: int) -> float:
     """log Itilde_k(1, 0).
 
@@ -83,7 +79,7 @@ def itilde_closed(d: int, k: int, p: ConePoint) -> ShellResult:
     """Closed form Itilde_k(tau, xi) = rho^{alpha(k)} Itilde_k(1, 0)."""
     _require_interior(p)
     alpha_k = float(alpha_exponent(d, k))
-    value = math.exp(log_itilde_unit(d, k) + alpha_k * math.log(_rho(p)))
+    value = math.exp(log_itilde_unit(d, k) + alpha_k * math.log(minkowski_form(p)))
     return ShellResult(value, CLOSED_FORM)
 
 
@@ -95,7 +91,7 @@ def i_weighted(d: int, k: int, p: ConePoint) -> ShellResult:
     """
     _require_interior(p)
     alpha_k = float(alpha_exponent(d, k))
-    rho = _rho(p)
+    rho = minkowski_form(p)
     itilde = itilde_closed(d, k, p).value
     value = 2.0 ** alpha_k * rho ** (-alpha_k) * itilde
     return ShellResult(value, CLOSED_FORM)
@@ -151,7 +147,7 @@ def itilde_recursive(d: int, k: int, p: ConePoint, tol: float = 1e-10) -> ShellR
         radial = _radial_recursion_integral(d, alpha_exponent(d, j - 1), tol)
         log_unit += log_sphere_area(d) + math.log(radial)
     alpha_k = float(alpha_exponent(d, k))
-    value = math.exp(log_unit + alpha_k * math.log(_rho(p)))
+    value = math.exp(log_unit + alpha_k * math.log(minkowski_form(p)))
     return ShellResult(value, RECURSION)
 
 

@@ -108,6 +108,34 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["family = heat\n", "samples = lots\n", None])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"  # None: the file does not exist
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["constants", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "cases passed" not in capsys.readouterr().out
+
+
+def test_explicit_flag_overrides_config_value_equal_to_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 13\n")
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert run(["shells", "--config", str(cfg), "--seed", "2024", "--out", str(a)]) == 0
+    assert run(["shells", "--seed", "2024", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--seed", "-1", "--budget", "2", "--restarts", "1"],
+    ["bilinear", "--d", "3", "--seed", "-1", "--random-cases", "1", "--samples", "1000"],
+])
+def test_negative_seed_runs(argv):
+    assert run(argv) in (0, 1)
+
+
 def test_schrodinger_identity_suite():
     assert run(["schrodinger-identity", "--grid", "2048"]) == 0
 

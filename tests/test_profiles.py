@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from strichartz_lab import profiles as P
@@ -255,3 +256,49 @@ def test_profile_serialization_round_trip():
     assert q.a == p.a and q.c == p.c
     assert np.all(q.b == p.b)
     assert "family=schrodinger" in rec and "a_re=" in rec
+
+
+_SMALL = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _profiles(draw, families=(WAVE, SCHRODINGER)):
+    d = draw(st.integers(2, 5))
+    cplx = st.builds(complex, _SMALL, _SMALL)
+    return P.ExtremalProfile(
+        draw(st.sampled_from(families)), d, complex(draw(st.floats(-3.0, -0.2)), draw(_SMALL)),
+        b=np.array(draw(st.lists(cplx, min_size=d, max_size=d))), c=draw(cplx),
+        sign=draw(st.sampled_from([1, -1])),
+    )
+
+
+@st.composite
+def _elements(draw, kind, d):
+    vec = st.lists(_SMALL, min_size=d, max_size=d).map(tuple)
+    if kind == "translate":
+        return P.Translate(draw(_SMALL), draw(vec))
+    if kind == "scaling":
+        return P.Scaling(draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)))
+    if kind == "phase":
+        return P.Phase(draw(st.floats(-4.0, 4.0)))
+    return P.GalileanBoost(draw(vec))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(["translate", "scaling", "phase", "galilean"]))
+def test_symmetry_compose_is_sequential_application(data, kind):
+    p = data.draw(_profiles((SCHRODINGER,) if kind == "galilean" else (WAVE, SCHRODINGER)))
+    g1, g2 = data.draw(_elements(kind, p.d)), data.draw(_elements(kind, p.d))
+    joint = P.symmetry_apply(P.compose(g1, g2), p)
+    seq = P.symmetry_apply(g1, P.symmetry_apply(g2, p))
+    assert abs(joint.a - seq.a) < 1e-12
+    assert np.max(np.abs(joint.b - seq.b)) < 1e-12
+    assert abs(joint.c - seq.c) < 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(p=_profiles())
+def test_profile_record_round_trip_is_exact(p):
+    q = P.profile_from_record(P.profile_to_record(p))
+    assert (q.family, q.d, q.a, q.c, q.sign) == (p.family, p.d, p.a, p.c, p.sign)
+    assert np.array_equal(q.b, p.b)

@@ -267,9 +267,9 @@ def _fields_without_modulus_kernel():
     return {
         "quadrature": quad,
         "schrodinger": schro,
-        "sum": FN.SumEvaluator(PR.RadialEvaluator(fp), PR.RadialEvaluator(fm)),
-        "conj": FN.MappedEvaluator(wave, np.conj),
-        "negated": FN.MappedEvaluator(wave, np.negative),
+        "sum": FN.MappedEvaluator(np.add, PR.RadialEvaluator(fp), PR.RadialEvaluator(fm)),
+        "conj": FN.MappedEvaluator(np.conj, wave),
+        "negated": FN.MappedEvaluator(np.negative, wave),
     }
 
 

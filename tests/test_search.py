@@ -79,6 +79,11 @@ def test_search_random_start_converges():
     assert diag["fit_residual"] < 5e-2
 
 
+def test_search_accepts_a_negative_seed():
+    prof, trace, diag = S.search(4, 2, SCHRODINGER, S.SearchConfig(budget=2, seed=-3, m=3))
+    assert diag["evaluations"] >= 1 and trace.iterates
+
+
 def test_exponential_fit_diagnostic():
     exact = S.AnsatzProfile(np.array([math.log(0.8)]), 4, SCHRODINGER)
     diag = S.exponential_fit_diagnostic(exact)
