@@ -80,10 +80,17 @@ def suite_constants(args):
 
 def _shells_point(args):
     """The shells suite's cone point, (1, 0) unless --point is given;
-    ValueError on a malformed or exterior --point or too few --samples."""
+    ValueError on --d or --k below 2, a non-positive --epsilon, too few
+    --samples, or a malformed or exterior --point."""
+    d, k = args.d or 3, args.k or 2
+    if d < 2:
+        raise ValueError(f"shells needs --d >= 2, got {d}")
+    if k < 2:
+        raise ValueError(f"shells needs --k >= 2, got {k}")
+    if not args.epsilon > 0.0:
+        raise ValueError(f"shells needs --epsilon > 0 (a smoothing width), got {args.epsilon}")
     if args.samples < SH.MIN_MC_SAMPLES:
         raise ValueError(f"shells needs --samples >= {SH.MIN_MC_SAMPLES}")
-    d = args.d or 3
     if not args.point:
         return ConePoint(1.0, np.zeros(d))
     vals = [float(x) for x in args.point.split(",")]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, chunk_generator, mc_mean
 from .profiles import ExtremalProfile, sobolev_norm_sq
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
-from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
+from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, leggauss, panel_nodes
 
 _PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
 # The d = 4 Schrodinger mixed-norm constant (32 pi)^{-1/4}.
@@ -183,6 +184,38 @@ def _rect_pass(F, d, win: Window, level: int):
     return sphere_area(d) * np.dot(wt, vals @ weight)
 
 
+# d -> (nodes, weights) of the unit core row: panel i, node j sits at
+# i + (1 + x_j)/2 with weight (w_j/2) (i + (1 + x_j)/2)^(d-1).  Entries do
+# not depend on the stored length, so a grown store keeps every prefix
+# bit for bit and results never depend on which rows came first.
+_UNIT_CORE = {}
+
+
+def _unit_core(d: int, n_pan: int):
+    """The unit core row of d for at least n_pan panels; the store grows
+    by doubling and callers slice the prefix they need."""
+    nodes, weights = _UNIT_CORE.get(d, (np.empty(0), None))
+    if nodes.size < n_pan * _PANEL_ORDER:
+        panels = max(n_pan, 2 * nodes.size // _PANEL_ORDER)
+        x, w = leggauss(_PANEL_ORDER)
+        nodes = (np.arange(panels)[:, None] + 0.5 * (1.0 + x)).ravel()
+        weights = np.tile(0.5 * w, panels) * nodes ** (d - 1)
+        for a in (nodes, weights):
+            a.setflags(write=False)
+        _UNIT_CORE[d] = nodes, weights
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _unit_tail(d: int, panels: int):
+    """Nodes and weights * nodes^(d-1) of the geometric panels on [1, 6]."""
+    nodes, weights = panel_nodes(_geom_edges(1.0, 6.0, panels), _PANEL_ORDER)
+    weights = weights * nodes ** (d - 1)
+    for a in (nodes, weights):
+        a.setflags(write=False)
+    return nodes, weights
+
+
 def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
     """Row-wise pass with per-time radial grids hugging the light cone.
 
@@ -191,23 +224,32 @@ def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
     resolved out to very large times at O(reach/width) nodes per row.
     The radial resolution stops refining after two levels (it already
     resolves the ridge); later levels refine the time panels only.
+
+    Every row is a scaled copy of one unit row: n_pan uniform panels of
+    width h = reach/n_pan on [0, reach] (nodes h * core, weights
+    h^d * core weights) plus a geometric tail on [reach, 6 reach]
+    (nodes reach * tail, weights reach^d * tail weights).
     """
     t, wt = panel_nodes(_t_edges(win, level), _PANEL_ORDER)
-    area = sphere_area(d)
-    total = 0.0 + 0.0j
-    margin = 12.0 * ridge_width
     r_refine = 1 << min(level, 1)
-    for ti, wi in zip(t, wt):
-        # Outgoing ridges sit at r ~ |t - t_peak|; cover the farthest one,
-        # then follow the polynomial off-cone decay with a geometric tail.
-        reach = abs(ti - win.t_center) + win.spread + margin
-        n_pan = max(6, int(math.ceil(reach / ridge_width))) * r_refine
-        edges = np.linspace(0.0, reach, n_pan + 1)
-        tail = _geom_edges(reach, 6.0 * reach, 6 * r_refine)
-        r, wr = panel_nodes(np.concatenate([edges, tail[1:]]), _PANEL_ORDER)
-        row = F(np.array([ti]), r)[0]
-        total += wi * np.dot(row * wr, r ** (d - 1))
-    return area * total
+    # Outgoing ridges sit at r ~ |t - t_peak|; cover the farthest one,
+    # then follow the polynomial off-cone decay with a geometric tail.
+    reach = np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width
+    n_pan = np.maximum(6, np.ceil(reach / ridge_width)).astype(int) * r_refine
+    core, core_w = _unit_core(d, int(n_pan.max()))
+    tail, tail_w = _unit_tail(d, 6 * r_refine)
+    r = np.empty(core.size + tail.size)
+    total = 0.0 + 0.0j
+    for i, (wi, span, n) in enumerate(zip(wt.tolist(), reach.tolist(), n_pan.tolist())):
+        m = n * _PANEL_ORDER
+        h = span / n
+        row_r = r[:m + tail.size]
+        np.multiply(core[:m], h, out=row_r[:m])
+        np.multiply(tail, span, out=row_r[m:])
+        row = F(t[i:i + 1], row_r)[0]
+        total += wi * (h ** d * np.dot(row[:m], core_w[:m])
+                       + span ** d * np.dot(row[m:], tail_w))
+    return sphere_area(d) * total
 
 
 def spacetime_integral(
@@ -786,9 +828,9 @@ def functional_eq_residual(g, d: int, seed: int = 0, cone_scale: float = 1.0) ->
     xi = cone_scale * rng.normal(size=(n_samples, d))
     ratios = 1.2 + 2.8 * rng.random(n_samples)
     tau = np.linalg.norm(xi, axis=1) * ratios
+    rho = tau * tau - np.einsum("nd,nd->n", xi, xi)
 
     def decompose(omega):
-        rho = tau * tau - np.einsum("nd,nd->n", xi, xi)
         rr = rho / (2.0 * (tau - np.einsum("nd,nd->n", xi, omega)))
         eta1 = rr[:, None] * omega
         return eta1, xi - eta1

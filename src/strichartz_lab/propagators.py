@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -202,16 +203,20 @@ class RadialEvaluator:
             * np.exp(-r * r / (4.0 * w))
         )
 
+    @cached_property
+    def _abs2_scale(self) -> float:
+        """e^{2 Re c} kappa_d^2, the constant factor of |u|^2."""
+        return math.exp(2.0 * self.profile.c.real) * closed_form_kappa(self.d) ** 2
+
     def _closed_form_abs2(self, t, r):
         """|u|^2 of the wave closed form in real arithmetic: only the time
         column is complex, and q = |z^2 + r^2|^2 is built from its parts."""
-        p = self.profile
         z2 = self._wave_z2(t)
         q = z2.real + np.asarray(r, dtype=float)[None, :] ** 2
         q *= q
         q += z2.imag ** 2
-        out = _inv_half_power(q, p.d - 1)
-        out *= math.exp(2.0 * p.c.real) * closed_form_kappa(p.d) ** 2
+        out = _inv_half_power(q, self.d - 1)
+        out *= self._abs2_scale
         return out
 
     # -- quadrature ---------------------------------------------------------

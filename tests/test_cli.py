@@ -169,6 +169,11 @@ def test_shells_bad_point_exits_2(point):
     (["all", "--d", "4"], "corollary needs --d in [2, 3, 5]"),
     (["schrodinger-identity", "--grid", "1000"], "grid size must be a power of two >= 256"),
     (["all", "--grid", "128"], "grid size must be a power of two >= 256"),
+    (["shells", "--epsilon", "0"], "shells needs --epsilon > 0"),
+    (["shells", "--epsilon=-1e-3"], "shells needs --epsilon > 0"),
+    (["shells", "--d", "1"], "shells needs --d >= 2"),
+    (["shells", "--k", "1"], "shells needs --k >= 2"),
+    (["all", "--epsilon", "0"], "shells needs --epsilon > 0"),
 ])
 def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import sphere_area
+from strichartz_lab.quadrules import panel_nodes
 
 QUARTIC_D5 = 1.0 / (6144.0 * math.pi ** 8)
 
@@ -369,3 +370,100 @@ def test_modulus_route_matches_complex_inner_product(d):
     lhs, _ = FN.product_l2_sq(evs)
     inner, _ = FN.spacetime_inner(evs, evs, nonneg=True)
     assert inner.real == pytest.approx(lhs, rel=1e-12)
+
+
+# The per-row cone build before rows became scaled unit templates, kept as
+# the reference: linspace edges plus a geometric tail through panel_nodes,
+# weights wr * r^(d-1).
+def _reference_cone_row(d, reach, n_pan, r_refine):
+    edges = np.linspace(0.0, reach, n_pan + 1)
+    tail = FN._geom_edges(reach, 6.0 * reach, 6 * r_refine)
+    r, wr = panel_nodes(np.concatenate([edges, tail[1:]]), 8)
+    return r, wr
+
+
+def _reference_cone_pass(F, d, win, level, ridge_width):
+    t, wt = panel_nodes(FN._t_edges(win, level), 8)
+    total = 0.0 + 0.0j
+    r_refine = 1 << min(level, 1)
+    for ti, wi in zip(t, wt):
+        reach = abs(ti - win.t_center) + win.spread + 12.0 * ridge_width
+        n_pan = max(6, int(math.ceil(reach / ridge_width))) * r_refine
+        r, wr = _reference_cone_row(d, reach, n_pan, r_refine)
+        row = F(np.array([ti]), r)[0]
+        total += wi * np.dot(row * wr, r ** (d - 1))
+    return sphere_area(d) * total
+
+
+def _template_cone_row(d, reach, n_pan, r_refine):
+    core, core_w = FN._unit_core(d, n_pan)
+    tail, tail_w = FN._unit_tail(d, 6 * r_refine)
+    h, m = reach / n_pan, 8 * n_pan
+    return (np.concatenate([h * core[:m], reach * tail]),
+            np.concatenate([h ** d * core_w[:m], reach ** d * tail_w]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("reach, ridge_width", [(0.7, 0.5), (3.1, 0.5), (17.3, 0.37),
+                                                (123.4, 0.05), (1000.0, 0.1)])
+def test_cone_row_templates_match_the_per_row_build(d, level, reach, ridge_width):
+    r_refine = 1 << min(level, 1)
+    n_pan = max(6, int(math.ceil(reach / ridge_width))) * r_refine
+    r_old, wr_old = _reference_cone_row(d, reach, n_pan, r_refine)
+    r_new, w_new = _template_cone_row(d, reach, n_pan, r_refine)
+    assert r_new.size == r_old.size
+    np.testing.assert_allclose(r_new, r_old, rtol=1e-14, atol=0.0)
+    # The reference half-widths are differences of linspace edges near
+    # i * h, off by up to about i ulp; the templates use h itself.
+    np.testing.assert_allclose(w_new, wr_old * r_old ** (d - 1),
+                               rtol=1e-14 + 2.0 * n_pan * np.finfo(float).eps, atol=0.0)
+    # Against the same rule in extended precision the templates hold 1e-14.
+    x, w = (np.asarray(v, dtype=np.longdouble) for v in np.polynomial.legendre.leggauss(8))
+    unit = (np.arange(n_pan, dtype=np.longdouble)[:, None] + (1 + x) / 2).ravel()
+    h = np.longdouble(reach) / n_pan
+    exact = h ** d * np.tile(w / 2, n_pan) * unit ** (d - 1)
+    np.testing.assert_allclose(w_new[:8 * n_pan], exact.astype(float), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cone_pass_matches_the_per_row_reference(d):
+    rng = np.random.default_rng(40 + d)
+    evs = [
+        PR.RadialEvaluator(P.wave_profile(
+            d, complex(-math.exp(0.3 * rng.normal()), 0.35 * rng.normal()),
+            c=complex(0.3 * rng.normal(), math.pi * rng.random())))
+        for _ in range(2)
+    ]
+    win = FN.default_window(evs, tail_factor=3.0, core=6.0)
+    modulus, signed = FN.product_field(evs, modulus=True), FN.product_field(evs)
+    FN._UNIT_CORE.clear()
+    largest = 0
+    for level in (0, 1, 2):
+        for ridge_width in (0.3, 0.45):
+            for F in (modulus, signed):
+                new = FN._cone_pass(F, d, win, level, ridge_width)
+                old = _reference_cone_pass(F, d, win, level, ridge_width)
+                # The signed product cancels, so its bound is relative to
+                # the pass of its modulus.
+                scale = _reference_cone_pass(lambda t, r: np.abs(F(t, r)), d, win, level,
+                                             ridge_width).real
+                assert abs(new - old) <= 1e-13 * scale
+            t, _ = panel_nodes(FN._t_edges(win, level), 8)
+            reach = np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width
+            largest = max(largest, int(np.ceil(reach.max() / ridge_width)) << min(level, 1))
+            assert len(np.unique(np.ceil(reach / ridge_width))) > 20  # many row sizes
+    # One store for d, at most twice the largest row any pass asked for.
+    assert list(FN._UNIT_CORE) == [d]
+    nodes, weights = FN._UNIT_CORE[d]
+    assert 8 * largest <= nodes.size == weights.size <= 2 * 8 * largest
+
+
+def test_cone_core_store_keeps_prefixes_bit_for_bit_when_grown():
+    FN._UNIT_CORE.clear()
+    small = [a.copy() for a in FN._unit_core(3, 7)]
+    grown = FN._unit_core(3, 500)
+    assert grown[0].size == 8 * 500
+    for a, b in zip(small, grown):
+        assert np.array_equal(a, b[:a.size])
+    assert FN._unit_core(3, 300)[0] is grown[0]
