@@ -47,11 +47,29 @@ def _case(suite, case_id, lhs, rhs, constant, ok, stderr=0.0, seed=0, **extra):
     return row
 
 
+def _flag(args, name, default):
+    """args.<name>, or the suite's default when the flag was not given;
+    an explicit 0 is kept, so the flag checks see it."""
+    value = getattr(args, name)
+    return default if value is None else value
+
+
+def _check_constants(args):
+    """(ds, ks, families) of the constants suite, d in 2..6 and k in 2..4
+    unless --d, --k or --family narrow them; ValueError when the flags
+    leave no catalog row."""
+    ds = list(range(2, 7)) if args.d is None else [args.d]
+    ks = [2, 3, 4] if args.k is None else [args.k]
+    fams = list(C.FAMILIES) if args.family is None else [args.family]
+    if not C.constants_rows(ds, ks, fams):
+        raise ValueError(f"constants has no catalog row for d in {ds}, k in {ks}, "
+                         f"family in {fams}")
+    return ds, ks, fams
+
+
 def suite_constants(args):
     """Catalog W(d,k), S(d,k) plus the published-formula consistency checks."""
-    ds = [args.d] if args.d else list(range(2, 7))
-    ks = [args.k] if args.k else [2, 3, 4]
-    fams = [args.family] if args.family else list(C.FAMILIES)
+    ds, ks, fams = _check_constants(args)
     cases = []
     for row in C.constants_rows(ds, ks, fams):
         fam, d, k, const = row["family"], row["d"], row["k"], row["constant"]
@@ -78,11 +96,11 @@ def suite_constants(args):
     return cases
 
 
-def _shells_point(args):
-    """The shells suite's cone point, (1, 0) unless --point is given;
-    ValueError on --d or --k below 2, a non-positive --epsilon, too few
-    --samples, or a malformed or exterior --point."""
-    d, k = args.d or 3, args.k or 2
+def _check_shells(args):
+    """(d, k, cone point) of the shells suite, the point (1, 0) unless
+    --point is given; ValueError on --d or --k below 2, a non-positive
+    --epsilon, too few --samples, or a malformed or exterior --point."""
+    d, k = _flag(args, "d", 3), _flag(args, "k", 2)
     if d < 2:
         raise ValueError(f"shells needs --d >= 2, got {d}")
     if k < 2:
@@ -92,7 +110,7 @@ def _shells_point(args):
     if args.samples < SH.MIN_MC_SAMPLES:
         raise ValueError(f"shells needs --samples >= {SH.MIN_MC_SAMPLES}")
     if not args.point:
-        return ConePoint(1.0, np.zeros(d))
+        return d, k, ConePoint(1.0, np.zeros(d))
     vals = [float(x) for x in args.point.split(",")]
     if len(vals) != d + 1:
         raise ValueError(f"--point needs tau and {d} coordinates for d = {d}, "
@@ -100,13 +118,12 @@ def _shells_point(args):
     pt = ConePoint(vals[0], np.array(vals[1:]))
     if not pt.interior:
         raise ValueError("--point must lie inside the forward cone (tau > |xi|)")
-    return pt
+    return d, k, pt
 
 
 def suite_shells(args):
     """Closed form vs recursion vs Monte Carlo for the cone shell."""
-    d, k = args.d or 3, args.k or 2
-    pt = _shells_point(args)
+    d, k, pt = _check_shells(args)
     closed = SH.itilde_closed(d, k, pt)
     rec = SH.itilde_recursive(d, k, pt, tol=1e-10)
     mc = SH.itilde_montecarlo(d, k, pt, epsilon=args.epsilon, n_samples=args.samples,
@@ -121,9 +138,9 @@ def suite_shells(args):
 
 
 def _check_bilinear(args):
-    """ValueError unless the bilinear flags name a k-linear wave estimate
-    with a finite Monte Carlo error bar."""
-    d, k = args.d or 5, args.k or 2
+    """(d, k) of the bilinear suite; ValueError unless the flags name a
+    k-linear wave estimate with a finite Monte Carlo error bar."""
+    d, k = _flag(args, "d", 5), _flag(args, "k", 2)
     if d < 2:
         raise ValueError(f"bilinear needs --d >= 2, got {d}")
     if k < 2:
@@ -133,11 +150,12 @@ def _check_bilinear(args):
                          f"got {args.samples}")
     if args.random_cases < 0:
         raise ValueError(f"--random-cases must be >= 0, got {args.random_cases}")
+    return d, k
 
 
 def suite_bilinear(args):
     """Sharp k-linear wave inequality: extremal ratio 1, random ratios < 1."""
-    d, k = args.d or 5, args.k or 2
+    d, k = _check_bilinear(args)
     rng = chunk_generator(args.seed, 1)
     tuples = [("extremal", [P.wave_profile(d, -1.0, c=0.1 * j) for j in range(k)], args.seed)]
     for trial in range(args.random_cases):
@@ -161,16 +179,18 @@ def suite_bilinear(args):
 
 
 def _check_corollary(args):
-    d = args.d or 5
+    """d of the corollary suite; ValueError unless it has a one-function case."""
+    d = _flag(args, "d", 5)
     if d not in C.WAVE_ALPHA1_DEGREE:
         raise ValueError(f"corollary needs --d in {sorted(C.WAVE_ALPHA1_DEGREE)} "
                          f"(the one-function cases), got {d}")
+    return d
 
 
 def suite_corollary(args):
     """One-function sharp estimates and the d = 5 energy quotient."""
     cases = []
-    d = args.d or 5
+    d = _check_corollary(args)
     prof = P.wave_profile(d, -1.0)
     rep = FN.onesided_quotient(prof)
     cases.append(
@@ -215,7 +235,9 @@ def suite_schro_identity(args):
 
 
 def _check_search(args):
-    case = (args.d or 4, args.k or 2, args.family or C.SCHRODINGER)
+    """(d, k, family) of the search suite; ValueError on an unsupported
+    case or a budget or restart count below 1."""
+    case = (_flag(args, "d", 4), _flag(args, "k", 2), _flag(args, "family", C.SCHRODINGER))
     if case not in SUPPORTED_CASES:
         raise ValueError(f"search supports (d, k, family) in {sorted(SUPPORTED_CASES)}, "
                          f"got {case}")
@@ -223,10 +245,11 @@ def _check_search(args):
         raise ValueError(f"search needs --budget >= 1, got {args.budget}")
     if args.restarts < 1:
         raise ValueError(f"search needs --restarts >= 1, got {args.restarts}")
+    return case
 
 
 def suite_search(args):
-    d, k, family = args.d or 4, args.k or 2, args.family or C.SCHRODINGER
+    d, k, family = _check_search(args)
     cfg = SearchConfig(budget=args.budget, seed=args.seed, restarts=args.restarts)
     prof, trace, diag = run_search(d, k, family, cfg)
     qs = trace.quotients
@@ -290,7 +313,8 @@ def suite_audit(args):
 
 # Flag checks run before any suite, so a usage error exits 2 up front.
 CHECKS = {
-    "shells": _shells_point,
+    "constants": _check_constants,
+    "shells": _check_shells,
     "bilinear": _check_bilinear,
     "corollary": _check_corollary,
     "schrodinger-identity": lambda args: PR.check_grid_size(args.grid),

@@ -4,8 +4,11 @@ All randomness in the package flows through Philox streams keyed by
 (seed, stream index).  Philox is counter-based, so the streams are
 independent; Monte Carlo means use one stream per chunk, and the
 estimate for a given (seed, n) is bit-identical no matter how chunks
-are scheduled across workers: partial sums are reduced in chunk order
-after the fact.
+are scheduled across workers: partial results are reduced in chunk order
+after the fact.  The variance is merged from per-chunk means and
+centred sums of squares (Chan, Golub & LeVeque), so constant weights
+give a standard error at rounding level rather than the cancellation
+noise of E[w^2] - E[w]^2.
 """
 
 from __future__ import annotations
@@ -67,7 +70,9 @@ def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
         w = np.asarray(sample_weights(chunk_generator(seed, idx), m), dtype=float)
         if w.size != m:
             raise ValueError("sampler returned wrong batch size")
-        return float(np.sum(w)), float(np.sum(w * w)), m
+        total = float(np.sum(w))
+        dev = w - total / m
+        return total, float(np.sum(dev * dev)), m
 
     tasks = list(enumerate(sizes))
     workers = _worker_count()
@@ -77,9 +82,12 @@ def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
     else:
         partials = [run(t) for t in tasks]
 
-    s1 = math.fsum(p[0] for p in partials)
-    s2 = math.fsum(p[1] for p in partials)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / n) if n > 1 else float("inf")
+    mean = math.fsum(p[0] for p in partials) / n
+    count, run_mean, m2 = 0, 0.0, 0.0
+    for total, chunk_m2, m in partials:
+        delta = total / m - run_mean
+        count += m
+        run_mean += delta * m / count
+        m2 += chunk_m2 + delta * delta * (count - m) * m / count
+    stderr = math.sqrt(m2 / n / n) if n > 1 else float("inf")
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=seed)

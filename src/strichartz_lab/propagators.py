@@ -7,10 +7,16 @@ reduces to a single oscillatory radial integral
 
 where g = |xi| fhat is the radial frequency amplitude, s = +/-1 the
 sheet, and A_d(s) = int_{S^{d-1}} e^{i s w_1} dsigma(w) the sphere
-kernel (elementary for odd d, Bessel J for even d).  The quadrature is
-panel Gauss-Legendre with panel counts tied to the total phase and a
-certified exponential tail cut, refined by doubling until two levels
-agree.  For the exponential family the integral is also elementary,
+kernel (elementary for odd d, Bessel J for even d).  The quadrature runs
+on [0, R], R a certified exponential tail cut, with rules from one
+ladder: rung m is 24 * 2^m uniform 12-node Gauss-Legendre panels.  Time
+rows are grouped into 48-row blocks by |t|; a block starts on the lowest
+rung with two panels per period of its largest phase (plus 8), and its
+level l is l rungs higher, so blocks at different starting rungs use the
+same rules.  Refinement is rung-major: the rungs are walked upward once,
+each rung's kernel matrix A_d(rho r) is built once (in rho chunks) and
+shared by every block waiting on it, and a block stops when two of its
+levels agree.  For the exponential family the integral is also elementary,
 
     u(t, r) = e^c kappa_d ((-(a + i s t))^2 + r^2)^{-(d-1)/2},
     kappa_d = Gamma((d+1)/2) / ((d-1) pi^{(d+1)/2}),
@@ -38,11 +44,13 @@ from .profiles import ExtremalProfile
 from .quadrules import QuadratureError, leggauss
 
 # Fixed geometry of the radial quadrature: at least 24 panels, two per
-# oscillation period, a tail cut 2/sigma past the certified radius, 48-row time blocks.
+# oscillation period, a tail cut 2/sigma past the certified radius, 48-row
+# time blocks, kernel matrices built in chunks of at most 4e6 entries.
 _MIN_PANELS = 24
 _PANELS_PER_PERIOD = 2.0
 _TAIL_MARGIN = 2.0
 _T_BLOCK = 48
+_KERNEL_CHUNK = 4_000_000
 
 
 def angular_kernel(d: int, s):
@@ -53,33 +61,32 @@ def angular_kernel(d: int, s):
     degenerates.
     """
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    small = np.abs(s) < 0.05
-    area = sphere_area(d)
+    # The elementary forms divide by s: evaluate them everywhere and
+    # overwrite the entries with |s| < 0.05 by the series below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 2:
+            out = 2.0 * math.pi * special.j0(s)
+        elif d == 3:
+            out = 4.0 * math.pi * np.sin(s) / s
+        elif d == 4:
+            out = (2.0 * math.pi) ** 2 * special.j1(s) / s
+        elif d == 5:
+            out = 8.0 * math.pi ** 2 * (np.sin(s) / s - np.cos(s)) / s ** 2
+        else:
+            nu = 0.5 * (d - 2)
+            out = (2.0 * math.pi) ** (0.5 * d) * special.jv(nu, np.abs(s)) / np.abs(s) ** nu
+    out = np.asarray(out, dtype=float)
+    small = (s > -0.05) & (s < 0.05)  # |s| < 0.05 without a full-size |s|
     if np.any(small):
         # 0F1(d/2; -s^2/4) truncated after z^3: relative error < 1e-12 for
         # |s| < 0.05, where the elementary forms lose digits to cancellation.
         z = s[small] ** 2
-        out[small] = area * (
+        out[small] = sphere_area(d) * (
             1.0
             - z / (2.0 * d)
             + z * z / (8.0 * d * (d + 2.0))
             - z * z * z / (48.0 * d * (d + 2.0) * (d + 4.0))
         )
-    big = ~small
-    if np.any(big):
-        sb = s[big]
-        if d == 2:
-            out[big] = 2.0 * math.pi * special.j0(sb)
-        elif d == 3:
-            out[big] = 4.0 * math.pi * np.sin(sb) / sb
-        elif d == 4:
-            out[big] = (2.0 * math.pi) ** 2 * special.j1(sb) / sb
-        elif d == 5:
-            out[big] = 8.0 * math.pi ** 2 * (np.sin(sb) / sb - np.cos(sb)) / sb ** 2
-        else:
-            nu = 0.5 * (d - 2)
-            out[big] = (2.0 * math.pi) ** (0.5 * d) * special.jv(nu, np.abs(sb)) / np.abs(sb) ** nu
     return out
 
 
@@ -125,6 +132,24 @@ def _inv_half_power(x, n: int):
         return x ** float(-m)
     root = np.sqrt(x)
     return 1.0 / root if m == 0 else x ** float(-m) / root
+
+
+def _base_rung(periods: float) -> int:
+    """Lowest rung whose _MIN_PANELS << m panels give a phase of `periods`
+    oscillations on [0, R] _PANELS_PER_PERIOD panels each, plus 8."""
+    need = max(_MIN_PANELS, int(math.ceil(periods * _PANELS_PER_PERIOD)) + 8)
+    return (-(-need // _MIN_PANELS) - 1).bit_length()
+
+
+def _rung_rule(R: float, rung: int):
+    """Rung `rung` of the ladder: _MIN_PANELS << rung uniform 12-node
+    Gauss-Legendre panels on [0, R]; one scalar half-width serves every panel."""
+    n_panels = _MIN_PANELS << rung
+    x, w = leggauss(12)
+    edges = np.linspace(0.0, R, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
 
 
 def _chirp_log(amp: float, sigma: float, abs_tol: float) -> float:
@@ -226,53 +251,72 @@ class RadialEvaluator:
             return _truncation_radius(self.decay, self.amp_bound, self.d, self.quad.abs_tol)
         return math.sqrt(_chirp_log(self.amp_bound, self.decay, self.quad.abs_tol)) + 2.0
 
-    def _rho_nodes(self, R: float, max_freq: float, level: int):
-        periods = R * max(max_freq, 1e-9) / (2.0 * math.pi)
-        n_panels = max(_MIN_PANELS, int(math.ceil(periods * _PANELS_PER_PERIOD)) + 8)
-        n_panels <<= level
-        # Uniform 12-node panels: one scalar half-width serves every panel.
-        x, w = leggauss(12)
-        edges = np.linspace(0.0, R, n_panels + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        return (mid[:, None] + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
-
-    def _quad_grid(self, t, r, level: int):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        R = self._truncation()
-        if self.family == WAVE:
-            max_freq = float(np.max(np.abs(t))) + float(np.max(r))
-        else:
-            max_freq = 2.0 * float(np.max(np.abs(t))) * R + float(np.max(r))
-        rho, w = self._rho_nodes(R, max_freq, level)
+    def _rung_weights(self, R: float, rung: int):
+        """Nodes, time frequencies (osc = exp(i t freq)) and core weights
+        g(rho) rho^{d-2 or d-1} w of one rung."""
+        rho, w = _rung_rule(R, rung)
         g = np.asarray(self._g(rho), dtype=complex)
         if self.family == WAVE:
-            core = g * rho ** (self.d - 2) * w
-            osc = np.exp(1j * self.sign * np.outer(t, rho))
-        else:
-            core = g * rho ** (self.d - 1) * w
-            osc = np.exp(-1j * np.outer(t, rho * rho))
-        out = np.empty((t.size, r.size), dtype=complex)
-        # Chunk the r axis: the (rho x r) kernel matrix dominates memory.
-        step = max(1, int(4e6 // max(rho.size, 1)))
-        for j0 in range(0, r.size, step):
-            sl = slice(j0, min(j0 + step, r.size))
-            kernel = angular_kernel(self.d, np.outer(rho, r[sl]))
-            out[:, sl] = osc @ (core[:, None] * kernel)
-        return out / (2.0 * math.pi) ** self.d
+            return rho, self.sign * rho, g * rho ** (self.d - 2) * w
+        return rho, -(rho * rho), g * rho ** (self.d - 1) * w
 
-    def _refine_block(self, t, r):
-        prev = self._quad_grid(t, r, 0)
-        err = None
-        for level in range(1, self.quad.max_levels + 1):
-            cur = self._quad_grid(t, r, level)
-            err = np.abs(cur - prev)
-            scale = np.maximum(np.abs(cur), self.quad.abs_tol / self.quad.rel_tol)
-            if np.all(err <= self.quad.rel_tol * scale + self.quad.abs_tol):
-                return cur, err
-            prev = cur
-        raise QuadratureError("radial quadrature did not converge", best=prev, error=err)
+    def _add_chunk(self, acc, rows, rho, freq, core, r):
+        """acc[b] += [Re; Im](exp(i t_b freq) core) @ A_d(rho r) for every
+        block b with time rows t_b in `rows`, from one kernel matrix (a
+        local, so it is freed before the next chunk's is built)."""
+        kernel = angular_kernel(self.d, np.outer(rho, r))
+        for b, tb in rows.items():
+            part = np.exp(1j * np.outer(tb, freq))
+            part *= core
+            acc[b] += np.concatenate((part.real, part.imag)) @ kernel
+
+    def _quad_blocks(self, t, r):
+        """u and its refinement error on t x r by the rung-major radial
+        quadrature: level l of a |t| block is rung base + l, and each rung
+        is built once for all the blocks waiting on it."""
+        q = self.quad
+        R = self._truncation()
+        order = np.argsort(np.abs(t))
+        blocks = [order[i0 : i0 + _T_BLOCK] for i0 in range(0, t.size, _T_BLOCK)]
+        r_max = float(np.max(r))
+        base = []
+        for idx in blocks:
+            t_max = float(np.max(np.abs(t[idx])))
+            max_freq = t_max + r_max if self.family == WAVE else 2.0 * t_max * R + r_max
+            base.append(_base_rung(R * max(max_freq, 1e-9) / (2.0 * math.pi)))
+        vals = np.empty((t.size, r.size), dtype=complex)
+        errs = np.empty((t.size, r.size))
+        prev = [None] * len(blocks)
+        pending = list(range(len(blocks)))
+        step = max(1, int(_KERNEL_CHUNK // r.size))
+        norm = (2.0 * math.pi) ** self.d
+        rung = 0
+        while pending:
+            rung = max(rung, min(base[b] for b in pending))
+            waiting = [b for b in pending if base[b] <= rung]
+            rho, freq, core = self._rung_weights(R, rung)
+            rows = {b: t[blocks[b]] for b in waiting}
+            acc = {b: np.zeros((2 * tb.size, r.size)) for b, tb in rows.items()}
+            for j0 in range(0, rho.size, step):
+                sl = slice(j0, j0 + step)
+                self._add_chunk(acc, rows, rho[sl], freq[sl], core[sl], r)
+            for b in waiting:
+                n = blocks[b].size
+                cur = (acc[b][:n] + 1j * acc[b][n:]) / norm
+                err = None
+                if rung > base[b]:
+                    err = np.abs(cur - prev[b])
+                    scale = np.maximum(np.abs(cur), q.abs_tol / q.rel_tol)
+                    if np.all(err <= q.rel_tol * scale + q.abs_tol):
+                        vals[blocks[b]], errs[blocks[b]] = cur, err
+                        pending.remove(b)
+                        continue
+                if rung - base[b] >= q.max_levels:
+                    raise QuadratureError("radial quadrature did not converge",
+                                          best=cur, error=err)
+                prev[b] = cur
+            rung += 1
+        return vals, errs
 
     def eval_grid(self, t, r, with_error: bool = False, modulus: bool = False):
         """u on the tensor grid t x r, adaptively refined by doubling;
@@ -293,14 +337,7 @@ class RadialEvaluator:
                 if modulus:
                     vals = np.abs(vals) ** 2
             return (vals, np.zeros(vals.shape)) if with_error else vals
-        order = np.argsort(np.abs(t))
-        vals = np.empty((t.size, r.size), dtype=complex)
-        errs = np.empty((t.size, r.size)) if with_error else None
-        for i0 in range(0, t.size, _T_BLOCK):
-            idx = order[i0 : i0 + _T_BLOCK]
-            vals[idx], err = self._refine_block(t[idx], r)
-            if with_error:
-                errs[idx] = err
+        vals, errs = self._quad_blocks(t, r)
         if modulus:
             if with_error:
                 errs = errs * (2.0 * np.abs(vals) + errs)

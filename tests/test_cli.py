@@ -174,6 +174,12 @@ def test_shells_bad_point_exits_2(point):
     (["shells", "--d", "1"], "shells needs --d >= 2"),
     (["shells", "--k", "1"], "shells needs --k >= 2"),
     (["all", "--epsilon", "0"], "shells needs --epsilon > 0"),
+    (["shells", "--d", "0"], "shells needs --d >= 2"),
+    (["bilinear", "--d", "0"], "bilinear needs --d >= 2"),
+    (["bilinear", "--k", "0"], "bilinear needs --k >= 2"),
+    (["corollary", "--d", "0"], "corollary needs --d in [2, 3, 5]"),
+    (["search", "--d", "0"], "search supports (d, k, family)"),
+    (["constants", "--d", "0"], "constants has no catalog row"),
 ])
 def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

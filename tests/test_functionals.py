@@ -110,8 +110,17 @@ def test_multilinear_rhs_alpha0_factorization():
     est = FN.multilinear_rhs([p, p], n_samples=10 ** 4, seed=1)
     assert est.mean == pytest.approx(math.pi ** 2, rel=1e-12)
     # Constant weights: stderr is pure floating-point noise in the
-    # one-pass variance, many orders below any genuine MC error.
+    # merged variance, many orders below any genuine MC error.
     assert est.stderr < 1e-6 * est.mean
+
+
+def test_multilinear_rhs_constant_weights_have_rounding_level_stderr():
+    # (2,3) extremal with b = 0: every weight is the same number, so the
+    # chunk-merged variance must vanish to rounding (E[w^2] - E[w]^2 left
+    # 2e-11..6e-11 relative here).  Three chunks exercise the merge.
+    p = P.wave_profile(2, -1.0)
+    est = FN.multilinear_rhs([p, p, p], n_samples=3 * 10 ** 5, seed=1)
+    assert est.stderr <= 1e-14 * est.mean
 
 
 def test_multilinear_rhs_equality_case(ev5):

@@ -1,6 +1,7 @@
 """Propagator evaluation: oscillatory quadrature, closed forms, FFT grid."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import sphere_area
-from strichartz_lab.quadrules import QuadratureError
+from strichartz_lab.quadrules import QuadratureError, panel_nodes
 
 
 def test_angular_kernel_values():
@@ -37,6 +38,88 @@ def test_angular_kernel_series_and_elementary_branches_agree():
             assert got == pytest.approx(want, rel=1e-11)
 
 
+def _masked_angular_kernel(d, s):
+    """The boolean gather/scatter form of angular_kernel, kept as a reference."""
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    small = np.abs(s) < 0.05
+    if np.any(small):
+        z = s[small] ** 2
+        out[small] = sphere_area(d) * (
+            1.0
+            - z / (2.0 * d)
+            + z * z / (8.0 * d * (d + 2.0))
+            - z * z * z / (48.0 * d * (d + 2.0) * (d + 4.0))
+        )
+    big = ~small
+    if np.any(big):
+        sb = s[big]
+        if d == 2:
+            out[big] = 2.0 * math.pi * special.j0(sb)
+        elif d == 3:
+            out[big] = 4.0 * math.pi * np.sin(sb) / sb
+        elif d == 4:
+            out[big] = (2.0 * math.pi) ** 2 * special.j1(sb) / sb
+        elif d == 5:
+            out[big] = 8.0 * math.pi ** 2 * (np.sin(sb) / sb - np.cos(sb)) / sb ** 2
+        else:
+            nu = 0.5 * (d - 2)
+            out[big] = (2.0 * math.pi) ** (0.5 * d) * special.jv(nu, np.abs(sb)) / np.abs(sb) ** nu
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_angular_kernel_equals_the_masked_form_without_warnings(d):
+    rng = np.random.default_rng(d)
+    edges = [0.0, 0.0499, -0.0499, 0.05, -0.05, 1e-300, 0.3, -2.5, 1e3, -1e3, 7.7e5]
+    s = np.concatenate([edges, rng.uniform(-0.06, 0.06, 200), rng.uniform(-500.0, 500.0, 200)])
+    grid = np.outer(np.abs(s[:40]), s[40:80])  # the (rho x r) kernel shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, got_grid = PR.angular_kernel(d, s), PR.angular_kernel(d, grid)
+    assert np.array_equal(got, _masked_angular_kernel(d, s))
+    assert np.array_equal(got_grid, _masked_angular_kernel(d, grid))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(periods=st.floats(0.0, 1e5), level=st.integers(0, 6))
+def test_rung_ladder_never_uses_fewer_panels(periods, level):
+    # Reference: the panel count a block used before the rung ladder.
+    before = max(24, int(math.ceil(2.0 * periods)) + 8)
+    m = PR._base_rung(periods)
+    panels = PR._MIN_PANELS << m
+    assert panels >= before and (m == 0 or panels < 2 * before)
+    assert PR._MIN_PANELS << (m + level) >= before << level
+
+
+@pytest.mark.parametrize("rung", [0, 1, 3])
+def test_rung_rule_is_the_uniform_panel_rule(rung):
+    R = 7.3
+    n = PR._MIN_PANELS << rung
+    rho, w = PR._rung_rule(R, rung)
+    want_rho, want_w = panel_nodes(np.linspace(0.0, R, n + 1), 12)
+    assert rho.size == w.size == 12 * n
+    assert np.allclose(rho, want_rho, rtol=0.0, atol=1e-14 * R)
+    assert np.allclose(w, want_w, rtol=1e-12, atol=0.0)
+
+
+def test_each_rung_is_built_once_per_call_and_shared_by_blocks(monkeypatch):
+    p = P.schrodinger_profile(3, -1.0 + 0.2j, c=0.1)
+    ev = PR.RadialEvaluator(p, method="quadrature")
+    built = []
+    rule = PR._rung_rule
+    monkeypatch.setattr(PR, "_rung_rule", lambda R, k: built.append(k) or rule(R, k))
+    t = np.linspace(-6.0, 6.0, 5 * PR._T_BLOCK + 7)
+    vals = ev.eval_grid(t, np.linspace(0.0, 5.0, 9))
+    assert len(built) == len(set(built)) and built == sorted(built)
+    assert built == list(range(built[0], built[-1] + 1))
+    # Every block takes at least two levels, so per-block rules would be
+    # built at least twice per block.
+    assert len(built) < 2 * 6
+    assert np.allclose(vals, PR.RadialEvaluator(p).eval_grid(t, np.linspace(0.0, 5.0, 9)),
+                       rtol=1e-9, atol=0.0)
+
+
 def test_quadrature_matches_closed_kernel():
     for d in (2, 3, 4, 5):
         p = P.wave_profile(d, -1.0 + 0.3j, c=0.2 - 0.5j)
@@ -47,6 +130,48 @@ def test_quadrature_matches_closed_kernel():
         q = ev_q.eval_grid(ts, rs)
         c = ev_c.eval_grid(ts, rs)
         assert np.max(np.abs(q - c) / np.maximum(np.abs(c), 1e-14)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rung_quadrature_matches_closed_wave_fields_on_many_blocks(d, sign):
+    p = P.wave_profile(d, -1.0 + 0.3j, c=0.2 - 0.5j, sign=sign)
+    ts = np.linspace(-8.0, 8.0, 2 * PR._T_BLOCK + 5)  # three blocks, different rungs
+    rs = np.array([0.0, 0.5, 1.7, 4.0, 9.0])
+    q = PR.RadialEvaluator(p, method="quadrature").eval_grid(ts, rs)
+    c = PR.RadialEvaluator(p).eval_grid(ts, rs)
+    assert np.max(np.abs(q - c) / np.maximum(np.abs(c), 1e-14)) < 1e-9
+
+
+def test_rung_quadrature_matches_the_schrodinger_gaussian():
+    for d in (2, 3, 5):
+        p = P.schrodinger_profile(d, -1.0 + 0.4j, c=0.3 + 0.2j)
+        ts = np.linspace(-3.0, 3.0, PR._T_BLOCK + 13)
+        rs = np.linspace(0.0, 6.0, 7)
+        q = PR.RadialEvaluator(p, method="quadrature").eval_grid(ts, rs)
+        c = PR.RadialEvaluator(p).eval_grid(ts, rs)
+        assert np.allclose(q, c, rtol=1e-9, atol=1e-14 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("family", ["wave", "schrodinger"])
+def test_row_values_do_not_depend_on_the_other_blocks_in_the_call(family):
+    if family == "wave":
+        p = P.wave_profile(3, -1.0 + 0.4j, c=0.1)
+    else:
+        p = P.schrodinger_profile(3, -1.0 + 0.3j, c=0.2j)
+    ev = PR.RadialEvaluator(p, method="quadrature")
+    rng = np.random.default_rng(8)
+    # Distinct |t|, so every call forms the same 48-row blocks by |t|.
+    mags = np.sort(rng.uniform(0.0, 6.0, 3 * PR._T_BLOCK + 11))
+    t_sorted = mags * rng.choice([-1.0, 1.0], mags.size)
+    blocks = [t_sorted[i : i + PR._T_BLOCK] for i in range(0, mags.size, PR._T_BLOCK)]
+    r = np.linspace(0.0, 5.0, 6)
+    perm = rng.permutation(mags.size)
+    full = dict(zip(t_sorted[perm], ev.eval_grid(t_sorted[perm], r)))
+    for pick in ([0], [1], [3], [0, 2], [1, 3], [2, 3]):
+        t = rng.permutation(np.concatenate([blocks[i] for i in pick]))
+        for ti, row in zip(t, ev.eval_grid(t, r)):
+            assert np.max(np.abs(row - full[ti])) <= 1e-13 * np.max(np.abs(full[ti]))
 
 
 def test_center_value_formula_and_centerline_law():
