@@ -80,7 +80,9 @@ def suite_constants(args):
         else:
             unit = SH.schro_shell(d, k, 1.0, np.zeros(d)).weighted
         alt = (2.0 * math.pi) ** (1 - d * (2 * k - 1)) * unit
-        ok = abs(const - alt) <= 1e-12 * const
+        # An underflowed (0) or overflowed side is no check at all.
+        ok = (all(math.isfinite(v) and v > 0.0 for v in (const, alt))
+              and abs(const - alt) <= 1e-12 * const)
         cases.append(
             _case("constants", f"{fam}_d{d}_k{k}", const, alt, 1.0, ok,
                   exponent=row["exponent"], attained=C.EstimateScale(d, k, fam).attained)
@@ -98,15 +100,17 @@ def suite_constants(args):
 
 def _check_shells(args):
     """(d, k, cone point) of the shells suite, the point (1, 0) unless
-    --point is given; ValueError on --d or --k below 2, a non-positive
-    --epsilon, too few --samples, or a malformed or exterior --point."""
+    --point is given; ValueError on --d or --k below 2, a non-positive or
+    non-finite --epsilon, too few --samples, or a malformed, non-finite or
+    exterior --point."""
     d, k = _flag(args, "d", 3), _flag(args, "k", 2)
     if d < 2:
         raise ValueError(f"shells needs --d >= 2, got {d}")
     if k < 2:
         raise ValueError(f"shells needs --k >= 2, got {k}")
-    if not args.epsilon > 0.0:
-        raise ValueError(f"shells needs --epsilon > 0 (a smoothing width), got {args.epsilon}")
+    if not 0.0 < args.epsilon < math.inf:
+        raise ValueError(f"shells needs --epsilon > 0 and finite (a smoothing width), "
+                         f"got {args.epsilon}")
     if args.samples < SH.MIN_MC_SAMPLES:
         raise ValueError(f"shells needs --samples >= {SH.MIN_MC_SAMPLES}")
     if not args.point:
@@ -115,6 +119,8 @@ def _check_shells(args):
     if len(vals) != d + 1:
         raise ValueError(f"--point needs tau and {d} coordinates for d = {d}, "
                          f"got {len(vals)} values")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"--point needs finite values, got {args.point}")
     pt = ConePoint(vals[0], np.array(vals[1:]))
     if not pt.interior:
         raise ValueError("--point must lie inside the forward cone (tau > |xi|)")
@@ -414,7 +420,7 @@ def main(argv=None):
             fh.write(FN.json_line({
                 "elapsed_seconds": time.time() - started,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "argv": list(sys.argv[1:]),
+                "argv": argv,
             }) + "\n")
     return 1 if failed else 0
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, chunk_generator, mc_mean
 from .profiles import ExtremalProfile, sobolev_norm_sq
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
-from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, leggauss, panel_nodes
+from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes, uniform_panels
 
 _PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
 # The d = 4 Schrodinger mixed-norm constant (32 pi)^{-1/4}.
@@ -44,7 +43,6 @@ class QuotientReport:
     rhs: float
     rhs_err: float
     constant: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:
@@ -71,7 +69,8 @@ class QuotientReport:
 
 def _round15(obj):
     if isinstance(obj, float):
-        return float(format(obj, ".15g"))
+        # JSON has no token for inf or nan; write them as null.
+        return float(format(obj, ".15g")) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round15(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -82,7 +81,8 @@ def _round15(obj):
 
 
 def json_line(obj: dict) -> str:
-    """Deterministic single-line JSON with 15-significant-digit floats."""
+    """Deterministic single-line JSON with 15-significant-digit floats;
+    non-finite floats become null."""
     return json.dumps(_round15(obj), sort_keys=True, separators=(",", ":"))
 
 
@@ -184,36 +184,17 @@ def _rect_pass(F, d, win: Window, level: int):
     return sphere_area(d) * np.dot(wt, vals @ weight)
 
 
-# d -> (nodes, weights) of the unit core row: panel i, node j sits at
-# i + (1 + x_j)/2 with weight (w_j/2) (i + (1 + x_j)/2)^(d-1).  Entries do
-# not depend on the stored length, so a grown store keeps every prefix
-# bit for bit and results never depend on which rows came first.
-_UNIT_CORE = {}
-
-
 def _unit_core(d: int, n_pan: int):
-    """The unit core row of d for at least n_pan panels; the store grows
-    by doubling and callers slice the prefix they need."""
-    nodes, weights = _UNIT_CORE.get(d, (np.empty(0), None))
-    if nodes.size < n_pan * _PANEL_ORDER:
-        panels = max(n_pan, 2 * nodes.size // _PANEL_ORDER)
-        x, w = leggauss(_PANEL_ORDER)
-        nodes = (np.arange(panels)[:, None] + 0.5 * (1.0 + x)).ravel()
-        weights = np.tile(0.5 * w, panels) * nodes ** (d - 1)
-        for a in (nodes, weights):
-            a.setflags(write=False)
-        _UNIT_CORE[d] = nodes, weights
-    return nodes, weights
+    """Nodes and weights * nodes^(d-1) of n_pan uniform unit panels on
+    [0, n_pan]; a row of m panels of width h reads the first m panels."""
+    nodes, weights = uniform_panels(n_pan, _PANEL_ORDER)
+    return nodes, weights * nodes ** (d - 1)
 
 
-@lru_cache(maxsize=None)
 def _unit_tail(d: int, panels: int):
     """Nodes and weights * nodes^(d-1) of the geometric panels on [1, 6]."""
     nodes, weights = panel_nodes(_geom_edges(1.0, 6.0, panels), _PANEL_ORDER)
-    weights = weights * nodes ** (d - 1)
-    for a in (nodes, weights):
-        a.setflags(write=False)
-    return nodes, weights
+    return nodes, weights * nodes ** (d - 1)
 
 
 def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
@@ -478,7 +459,6 @@ def multilinear_quotient(profiles, n_samples: int, seed: int, **kw) -> QuotientR
         rhs=rhs.mean,
         rhs_err=rhs.stderr,
         constant=C.EstimateScale(d, k, family).sharp_constant,
-        meta={"case": "multilinear", "d": d, "k": k, "family": family},
     )
 
 
@@ -547,7 +527,6 @@ def onesided_quotient(profile: ExtremalProfile) -> QuotientReport:
         rhs=rhs,
         rhs_err=0.0,
         constant=const,
-        meta={"case": "wave_onefn", "d": d, "k": k},
     )
 
 
@@ -572,7 +551,6 @@ def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile) -> Quotie
         rhs=math.sqrt(energy),
         rhs_err=0.0,
         constant=1.0 / math.sqrt(8.0 * math.pi),
-        meta={"case": "energy_d5"},
     )
 
 
@@ -684,7 +662,6 @@ def mixed_norm_quotient(p: ExtremalProfile) -> QuotientReport:
         rhs=rhs,
         rhs_err=0.0,
         constant=SCHRO_D4_CONSTANT,
-        meta={"case": "schro_mixed_d4"},
     )
 
 
@@ -806,7 +783,6 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
         rhs=rhs,
         rhs_err=0.0,
         constant=SCHRO_D4_CONSTANT,
-        meta={"case": "schro_ansatz_d4", "route": route},
     )
 
 

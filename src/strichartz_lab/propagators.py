@@ -41,7 +41,7 @@ from scipy import special
 
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .profiles import ExtremalProfile
-from .quadrules import QuadratureError, leggauss
+from .quadrules import QuadratureError, uniform_panels
 
 # Fixed geometry of the radial quadrature: at least 24 panels, two per
 # oscillation period, a tail cut 2/sigma past the certified radius, 48-row
@@ -143,13 +143,11 @@ def _base_rung(periods: float) -> int:
 
 def _rung_rule(R: float, rung: int):
     """Rung `rung` of the ladder: _MIN_PANELS << rung uniform 12-node
-    Gauss-Legendre panels on [0, R]; one scalar half-width serves every panel."""
+    Gauss-Legendre panels on [0, R], the unit panel rule scaled by R / n."""
     n_panels = _MIN_PANELS << rung
-    x, w = leggauss(12)
-    edges = np.linspace(0.0, R, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return (mid[:, None] + half * x[None, :]).ravel(), np.tile(half * w, n_panels)
+    h = R / n_panels
+    nodes, weights = uniform_panels(n_panels, 12)
+    return h * nodes, h * weights
 
 
 def _chirp_log(amp: float, sigma: float, abs_tol: float) -> float:

@@ -1,6 +1,6 @@
 """Cached Gauss-Legendre rules (node generation is O(n^2); reuse them),
-the angular rule built on them, and the one exception every adaptive
-quadrature raises."""
+the panel and angular rules built on them, and the one exception every
+adaptive quadrature raises.  No other module calls leggauss."""
 
 from __future__ import annotations
 
@@ -31,6 +31,16 @@ def panel_nodes(edges, n: int):
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     return nodes, (half[:, None] * w[None, :]).ravel()
+
+
+def uniform_panels(n_panels: int, n: int):
+    """n-point GL nodes/weights on the unit panels of [0, n_panels]: panel
+    i, node j sits at i + (1 + x_j)/2 with weight w_j/2.  Scaling by h
+    gives the rule on [0, h * n_panels]; every prefix of n * m entries
+    is the rule on [0, m]."""
+    x, w = leggauss(n)
+    nodes = (np.arange(n_panels)[:, None] + 0.5 * (1.0 + x)).ravel()
+    return nodes, np.tile(0.5 * w, n_panels)
 
 
 def angular_nodes(d: int, n: int):

@@ -51,6 +51,34 @@ def test_meta_out_is_separate(tmp_path):
     assert "timestamp" in meta.read_text()
 
 
+def test_meta_out_records_the_parsed_argv(tmp_path, monkeypatch):
+    meta = tmp_path / "meta.json"
+    monkeypatch.setattr(cli.sys, "argv", ["strichartz-lab", "--foo"])
+    argv = ["constants", "--d", "3", "--meta-out", str(meta)]
+    assert run(argv) == 0
+    assert json.loads(meta.read_text())["argv"] == argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_constants_rows_that_underflow_fail_and_report_valid_json(tmp_path):
+    # At d = 99 both sides of the k >= 3 rows underflow to 0, where the
+    # relative check 0 <= 1e-12 * 0 would hold; ratio and deficit are inf.
+    out = tmp_path / "r.jsonl"
+    assert run(["constants", "--d", "99", "--out", str(out)]) == 1
+    rows = {row["case_id"]: row for row in
+            (json.loads(line, parse_constant=_reject_constant)
+             for line in out.read_text().splitlines())}
+    for fam in ("wave", "schrodinger"):
+        assert rows[f"{fam}_d99_k2"]["pass"] is True
+        for k in (3, 4):
+            row = rows[f"{fam}_d99_k{k}"]
+            assert row["pass"] is False
+            assert row["lhs"] == row["rhs"] == 0.0 and row["ratio"] is None
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["bogus"])
@@ -180,6 +208,8 @@ def test_shells_bad_point_exits_2(point):
     (["corollary", "--d", "0"], "corollary needs --d in [2, 3, 5]"),
     (["search", "--d", "0"], "search supports (d, k, family)"),
     (["constants", "--d", "0"], "constants has no catalog row"),
+    (["shells", "--point", "inf,0,0,0"], "--point needs finite values"),
+    (["shells", "--epsilon", "inf"], "shells needs --epsilon > 0 and finite"),
 ])
 def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -81,7 +81,6 @@ def test_onesided_quotient_extremal_all_dims():
     for d in (2, 3, 5):
         rep = FN.onesided_quotient(P.wave_profile(d, -1.0))
         assert abs(rep.deficit) < 5e-3
-        assert rep.meta["k"] == C.WAVE_ALPHA1_DEGREE[d]
 
 
 def test_wave_fiber_route_cross_validation():
@@ -446,8 +445,6 @@ def test_cone_pass_matches_the_per_row_reference(d):
     ]
     win = FN.default_window(evs, tail_factor=3.0, core=6.0)
     modulus, signed = FN.product_field(evs, modulus=True), FN.product_field(evs)
-    FN._UNIT_CORE.clear()
-    largest = 0
     for level in (0, 1, 2):
         for ridge_width in (0.3, 0.45):
             for F in (modulus, signed):
@@ -460,19 +457,4 @@ def test_cone_pass_matches_the_per_row_reference(d):
                 assert abs(new - old) <= 1e-13 * scale
             t, _ = panel_nodes(FN._t_edges(win, level), 8)
             reach = np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width
-            largest = max(largest, int(np.ceil(reach.max() / ridge_width)) << min(level, 1))
             assert len(np.unique(np.ceil(reach / ridge_width))) > 20  # many row sizes
-    # One store for d, at most twice the largest row any pass asked for.
-    assert list(FN._UNIT_CORE) == [d]
-    nodes, weights = FN._UNIT_CORE[d]
-    assert 8 * largest <= nodes.size == weights.size <= 2 * 8 * largest
-
-
-def test_cone_core_store_keeps_prefixes_bit_for_bit_when_grown():
-    FN._UNIT_CORE.clear()
-    small = [a.copy() for a in FN._unit_core(3, 7)]
-    grown = FN._unit_core(3, 500)
-    assert grown[0].size == 8 * 500
-    for a, b in zip(small, grown):
-        assert np.array_equal(a, b[:a.size])
-    assert FN._unit_core(3, 300)[0] is grown[0]
