@@ -665,6 +665,29 @@ def mixed_norm_quotient(p: ExtremalProfile) -> QuotientReport:
     )
 
 
+_FIBER_BLOCK = 2 ** 15  # most tensor entries a fiber routine evaluates at once
+
+
+def _checked_decay(decay: float) -> float:
+    """decay itself; ValueError unless it is finite and positive."""
+    if not (math.isfinite(decay) and decay > 0.0):
+        raise ValueError(f"decay must be finite and > 0, got {decay!r}")
+    return decay
+
+
+def _contract_rows(block, n_rows: int, row_entries: int, wu):
+    """Stack block(rows) @ wu over blocks of outer rows.
+
+    block(rows) evaluates the (rows, inner, len(wu)) slab of a fiber
+    tensor; each slab holds at most _FIBER_BLOCK entries, so no
+    elementwise temporary outgrows the cache.  The result takes the
+    slabs' dtype (a complex g keeps its imaginary part).
+    """
+    step = max(1, _FIBER_BLOCK // row_entries)
+    return np.concatenate([block(slice(i, i + step)) @ wu
+                           for i in range(0, n_rows, step)])
+
+
 def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
                         n_u: int = 48) -> float:
     """||e^{it Lap} f||_{L^4}^4 for radial fhat = g, via the shell fiber.
@@ -681,17 +704,22 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     Gauss-Legendre grids converge fast; the cutoff comes from the decay
     of g (|g(r)| ~ exp(-decay r^2)).
     """
-    span = math.sqrt(70.0 / (2.0 * decay))
+    span = math.sqrt(70.0 / (2.0 * _checked_decay(decay)))
     q, wq = _gauss_nodes(n_q, 0.0, 2.0 * span)
     R, wR = _gauss_nodes(n_q, 0.0, 2.0 * span)
     u, wu = angular_nodes(d, n_u)
-    Q, RR, U = np.meshgrid(q, R, u, indexing="ij")
-    A = 0.25 * Q * Q + RR * RR
-    B = Q * RR
-    vals = np.asarray(radial_fn(np.sqrt(A + B * U))) * np.asarray(
-        radial_fn(np.sqrt(A - B * U))
-    )
-    phi = 0.25 * RR[:, :, 0] ** (d - 2) * sphere_area(d - 1) * (vals @ wu)
+    RR, U = R[None, :, None], u[None, None, :]
+
+    def block(rows):
+        Q = q[rows, None, None]
+        A = 0.25 * Q * Q + RR * RR
+        B = Q * RR
+        return np.asarray(radial_fn(np.sqrt(A + B * U))) * np.asarray(
+            radial_fn(np.sqrt(A - B * U))
+        )
+
+    phi = 0.25 * R ** (d - 2) * sphere_area(d - 1) * _contract_rows(
+        block, n_q, n_q * n_u, wu)
     inner = np.abs(phi) ** 2 * 4.0 * R[None, :]
     total = float(np.einsum("i,ij,j->", wq * q ** (d - 1), inner, wR))
     return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
@@ -713,21 +741,24 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     so tensor Gauss grids converge quickly; the spectral decay of g sets
     the tau cutoff.
     """
-    span = 80.0 / decay
+    span = 80.0 / _checked_decay(decay)
     tau, wt = _gauss_nodes(100, 0.0, span)
     x, wx = _gauss_nodes(100, 0.0, 1.0)  # q = tau * x
     u, wu = angular_nodes(d, 48)
-    T = tau[:, None, None]
-    Q = T * x[None, :, None]
-    U = u[None, None, :]
-    rstar = (T * T - Q * Q) / (2.0 * (T - Q * U))
-    vals = (
-        np.asarray(g1(rstar))
-        * np.asarray(g2(T - rstar))
-        * rstar ** (d - 2)
-        / (T - Q * U)
-    )
-    phi = sphere_area(d - 1) * (vals @ wu)
+    X, U = x[None, :, None], u[None, None, :]
+
+    def block(rows):
+        T = tau[rows, None, None]
+        Q = T * X
+        rstar = (T * T - Q * Q) / (2.0 * (T - Q * U))
+        return (
+            np.asarray(g1(rstar))
+            * np.asarray(g2(T - rstar))
+            * rstar ** (d - 2)
+            / (T - Q * U)
+        )
+
+    phi = sphere_area(d - 1) * _contract_rows(block, tau.size, x.size * u.size, wu)
     qweight = (tau[:, None] * x[None, :]) ** (d - 1) * tau[:, None]  # dq = tau dx
     total = float(np.einsum("i,ij,j->", wt, np.abs(phi) ** 2 * qweight, wx))
     return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
@@ -743,12 +774,13 @@ def _radial_norm_sq(radial_fn, d: int, power: float, rmax: float) -> float:
 
 def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
-    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, 80.0 / decay)
+    rmax = 80.0 / _checked_decay(decay)
+    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rmax)
 
 
 def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 1} dr for radial fhat = g."""
-    rmax = math.sqrt(max(60.0, -math.log(1e-280)) / (2.0 * decay)) + 3.0
+    rmax = math.sqrt(-math.log(1e-280) / (2.0 * _checked_decay(decay))) + 3.0
     return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, rmax)
 
 
@@ -761,6 +793,8 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
     cross-check).  Data norms by radial quadrature.
     """
     d, rel_tol = 4, 2e-4
+    l2 = schro_radial_norm_sq(radial_fn, d, 0.0, decay)
+    h1 = schro_radial_norm_sq(radial_fn, d, 1.0, decay)
     if route == "fiber":
         v1 = schro_quartic_norm4(radial_fn, d, decay)
         v2 = schro_quartic_norm4(radial_fn, d, decay, n_q=120, n_u=64)
@@ -774,8 +808,6 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
                                       max_levels=4, ext_factor=1.6)
     else:
         raise ValueError(f"unknown route {route!r}")
-    l2 = schro_radial_norm_sq(radial_fn, d, 0.0, decay)
-    h1 = schro_radial_norm_sq(radial_fn, d, 1.0, decay)
     rhs = (l2 * h1) ** 0.25
     return QuotientReport(
         lhs=lhs,

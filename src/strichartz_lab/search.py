@@ -51,6 +51,8 @@ class AnsatzProfile:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.size < 1 or self.theta.size > 12:
             raise ValueError("ansatz needs 1..12 coefficients")
+        if not np.all(np.isfinite(self.theta)):
+            raise ValueError("ansatz coefficients must be finite")
         if self.family not in (WAVE, SCHRODINGER):
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -145,9 +147,14 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     bit-identical traces.  Exhausting the budget without meeting the
     simplex tolerance leaves terminated_by = 'budget' (partial result).
     An evaluation whose quadrature fails scores quotient 0 and is counted
-    in diag['failed_evals']; any other error propagates.
+    in diag['failed_evals']; any other error propagates.  An explicit x0
+    must be a finite vector of config.m entries (ValueError otherwise).
     """
     objective = quotient_objective(d, k, family)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (config.m,) or not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be a finite vector of m = {config.m} entries")
     rng = chunk_generator(config.seed, 0)
     trace = SearchTrace()
     best_theta, best_q = None, -math.inf
@@ -155,7 +162,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
 
     for restart in range(config.restarts):
         if x0 is not None and restart == 0:
-            start = np.asarray(x0, dtype=float)
+            start = x0
         else:
             start = np.zeros(config.m)
             start[0] = rng.normal(scale=0.5)

@@ -12,7 +12,8 @@ from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import sphere_area
-from strichartz_lab.quadrules import panel_nodes
+from strichartz_lab.quadrules import angular_nodes, gauss_nodes, panel_nodes
+from strichartz_lab.search import AnsatzProfile
 
 QUARTIC_D5 = 1.0 / (6144.0 * math.pi ** 8)
 
@@ -100,6 +101,105 @@ def test_schro_fiber_route_cross_validation():
     assert FN.schro_quartic_norm4(g, 4, 1.0, n_q=120, n_u=64) == pytest.approx(
         want4, rel=1e-5
     )
+
+
+def _schro_quartic_norm4_whole(radial_fn, d, decay, n_q=80, n_u=48):
+    # Reference: schro_quartic_norm4 on the whole tensor at once.
+    span = math.sqrt(70.0 / (2.0 * decay))
+    q, wq = gauss_nodes(n_q, 0.0, 2.0 * span)
+    R, wR = gauss_nodes(n_q, 0.0, 2.0 * span)
+    u, wu = angular_nodes(d, n_u)
+    Q, RR, U = np.meshgrid(q, R, u, indexing="ij")
+    A = 0.25 * Q * Q + RR * RR
+    B = Q * RR
+    vals = np.asarray(radial_fn(np.sqrt(A + B * U))) * np.asarray(
+        radial_fn(np.sqrt(A - B * U))
+    )
+    phi = 0.25 * RR[:, :, 0] ** (d - 2) * sphere_area(d - 1) * (vals @ wu)
+    inner = np.abs(phi) ** 2 * 4.0 * R[None, :]
+    total = float(np.einsum("i,ij,j->", wq * q ** (d - 1), inner, wR))
+    return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
+
+
+def _wave_bilinear_lhs_fiber_whole(g1, g2, d, decay):
+    # Reference: wave_bilinear_lhs_fiber on the whole tensor at once.
+    span = 80.0 / decay
+    tau, wt = gauss_nodes(100, 0.0, span)
+    x, wx = gauss_nodes(100, 0.0, 1.0)
+    u, wu = angular_nodes(d, 48)
+    T = tau[:, None, None]
+    Q = T * x[None, :, None]
+    U = u[None, None, :]
+    rstar = (T * T - Q * Q) / (2.0 * (T - Q * U))
+    vals = (
+        np.asarray(g1(rstar))
+        * np.asarray(g2(T - rstar))
+        * rstar ** (d - 2)
+        / (T - Q * U)
+    )
+    phi = sphere_area(d - 1) * (vals @ wu)
+    qweight = (tau[:, None] * x[None, :]) ** (d - 1) * tau[:, None]
+    total = float(np.einsum("i,ij,j->", wt, np.abs(phi) ** 2 * qweight, wx))
+    return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
+
+
+def test_fiber_row_blocks_are_bit_identical_to_whole_tensors():
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        theta = rng.normal(scale=0.35, size=6)
+        theta[0] = rng.normal(scale=0.5)
+        schro = AnsatzProfile(theta, 4, C.SCHRODINGER)
+        g, sigma = schro.radial_fn(), schro.decay_rate
+        for grid in ({}, {"n_q": 120, "n_u": 64}, {"n_q": 81}):
+            assert FN.schro_quartic_norm4(g, 4, sigma, **grid) == _schro_quartic_norm4_whole(
+                g, 4, sigma, **grid)
+        wave = AnsatzProfile(theta, 5, C.WAVE)
+        g, sigma = wave.radial_fn(), wave.decay_rate
+        assert FN.wave_bilinear_lhs_fiber(g, g, 5, sigma) == _wave_bilinear_lhs_fiber_whole(
+            g, g, 5, sigma)
+    ga = lambda rho: np.exp((-1.0 + 0.4j) * rho + 0.3)
+    gb = lambda rho: np.exp(-1.6 * rho - 0.2)
+    assert FN.wave_bilinear_lhs_fiber(ga, gb, 5, 1.0) == _wave_bilinear_lhs_fiber_whole(
+        ga, gb, 5, 1.0)
+    assert FN.schro_quartic_norm4(ga, 4, 1.0, n_q=81) == _schro_quartic_norm4_whole(
+        ga, 4, 1.0, n_q=81)
+
+
+def test_fiber_routines_never_evaluate_more_than_one_block():
+    sizes = []
+
+    def counting(rho):
+        sizes.append(np.size(rho))
+        return np.exp(-rho)
+
+    for n_q, n_u in ((80, 48), (120, 64), (81, 48)):
+        sizes.clear()
+        FN.schro_quartic_norm4(counting, 4, 1.0, n_q=n_q, n_u=n_u)
+        assert max(sizes) <= FN._FIBER_BLOCK
+        assert sum(sizes) == 2 * n_q * n_q * n_u
+    sizes.clear()
+    FN.wave_bilinear_lhs_fiber(counting, counting, 5, 1.0)
+    assert max(sizes) <= FN._FIBER_BLOCK
+    assert sum(sizes) == 2 * 100 * 100 * 48
+
+
+_G = lambda rho: np.exp(-rho)
+_DECAY_ROUTINES = {
+    "wave_bilinear_lhs_fiber": lambda decay: FN.wave_bilinear_lhs_fiber(_G, _G, 5, decay),
+    "schro_quartic_norm4": lambda decay: FN.schro_quartic_norm4(_G, 4, decay),
+    "wave_radial_norm_sq": lambda decay: FN.wave_radial_norm_sq(_G, 5, 1.0, decay),
+    "schro_radial_norm_sq": lambda decay: FN.schro_radial_norm_sq(_G, 4, 0.0, decay),
+    "schro_ansatz_quotient": lambda decay: FN.schro_ansatz_quotient(_G, decay),
+    "schro_ansatz_quotient_propagator": lambda decay: FN.schro_ansatz_quotient(
+        _G, decay, route="propagator"),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(_DECAY_ROUTINES))
+def test_rejects_a_non_positive_or_non_finite_decay(routine):
+    for decay in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="decay must be finite and > 0"):
+            _DECAY_ROUTINES[routine](decay)
 
 
 def test_multilinear_rhs_alpha0_factorization():

@@ -71,6 +71,47 @@ def test_search_reproducible():
     assert d1["best_quotient"] == d2["best_quotient"]
 
 
+# One 12-evaluation restart from a fixed start, recorded with repr from the
+# whole-tensor fiber routines; evaluating them in row blocks must not move it.
+FROZEN_X0 = [0.2, -0.15, 0.1, 0.05, -0.08, 0.12]
+FROZEN_RESTARTS = {
+    (4, 2, SCHRODINGER): (
+        "0.9996405891803001",
+        ["0.9996130902825843", "0.9996161871330548", "0.9996332811108732",
+         "0.9996405891803001"],
+    ),
+    (5, 2, WAVE): (
+        "0.9998191150183784",
+        ["0.9998078711627275", "0.999807871162728", "0.999809216690664",
+         "0.9998138027884652", "0.9998163532538223", "0.9998165187366445",
+         "0.9998191150183784"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_RESTARTS))
+def test_search_restart_frozen_values(case):
+    cfg = S.SearchConfig(budget=12, seed=7, restarts=1, m=6)
+    _, trace, diag = S.search(*case, cfg, x0=np.array(FROZEN_X0))
+    best, quotients = FROZEN_RESTARTS[case]
+    assert repr(diag["best_quotient"]) == best
+    assert [repr(q) for q in trace.quotients] == quotients
+    assert diag["evaluations"] == 12
+
+
+def test_search_rejects_a_bad_start_vector():
+    cfg = S.SearchConfig(budget=4, seed=0, restarts=1, m=6)
+    for x0 in (np.zeros(3), np.zeros((2, 3)), np.full(6, np.nan), [0.0] * 5 + [np.inf]):
+        with pytest.raises(ValueError, match="finite vector of m = 6"):
+            S.search(4, 2, SCHRODINGER, cfg, x0=x0)
+
+
+def test_ansatz_profile_rejects_non_finite_coefficients():
+    for theta in ([math.nan], [0.0, math.inf], [0.0, 0.1, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            S.AnsatzProfile(theta, 4, SCHRODINGER)
+
+
 def test_search_random_start_converges():
     cfg = S.SearchConfig(budget=250, seed=5, restarts=1, m=5)
     prof, trace, diag = S.search(4, 2, SCHRODINGER, cfg)
