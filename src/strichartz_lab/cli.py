@@ -55,23 +55,24 @@ def _flag(args, name, default):
 
 
 def _check_constants(args):
-    """(ds, ks, families) of the constants suite, d in 2..6 and k in 2..4
-    unless --d, --k or --family narrow them; ValueError when the flags
-    leave no catalog row."""
+    """(ds, ks, families, catalog rows) of the constants suite, d in 2..6
+    and k in 2..4 unless --d, --k or --family narrow them; ValueError
+    when the flags leave no catalog row."""
     ds = list(range(2, 7)) if args.d is None else [args.d]
     ks = [2, 3, 4] if args.k is None else [args.k]
     fams = list(C.FAMILIES) if args.family is None else [args.family]
-    if not C.constants_rows(ds, ks, fams):
+    rows = C.constants_rows(ds, ks, fams)
+    if not rows:
         raise ValueError(f"constants has no catalog row for d in {ds}, k in {ks}, "
                          f"family in {fams}")
-    return ds, ks, fams
+    return ds, ks, fams, rows
 
 
-def suite_constants(args):
+def suite_constants(args, checked):
     """Catalog W(d,k), S(d,k) plus the published-formula consistency checks."""
-    ds, ks, fams = _check_constants(args)
+    ds, ks, fams, rows = checked
     cases = []
-    for row in C.constants_rows(ds, ks, fams):
+    for row in rows:
         fam, d, k, const = row["family"], row["d"], row["k"], row["constant"]
         # W(d,k) and S(d,k) = (2pi)^{1-d(2k-1)} I_k, the weighted
         # cone or paraboloid shell constant at (1, 0).
@@ -127,9 +128,9 @@ def _check_shells(args):
     return d, k, pt
 
 
-def suite_shells(args):
+def suite_shells(args, checked):
     """Closed form vs recursion vs Monte Carlo for the cone shell."""
-    d, k, pt = _check_shells(args)
+    d, k, pt = checked
     closed = SH.itilde_closed(d, k, pt)
     rec = SH.itilde_recursive(d, k, pt, tol=1e-10)
     mc = SH.itilde_montecarlo(d, k, pt, epsilon=args.epsilon, n_samples=args.samples,
@@ -159,9 +160,9 @@ def _check_bilinear(args):
     return d, k
 
 
-def suite_bilinear(args):
+def suite_bilinear(args, checked):
     """Sharp k-linear wave inequality: extremal ratio 1, random ratios < 1."""
-    d, k = _check_bilinear(args)
+    d, k = checked
     rng = chunk_generator(args.seed, 1)
     tuples = [("extremal", [P.wave_profile(d, -1.0, c=0.1 * j) for j in range(k)], args.seed)]
     for trial in range(args.random_cases):
@@ -193,10 +194,9 @@ def _check_corollary(args):
     return d
 
 
-def suite_corollary(args):
+def suite_corollary(args, d):
     """One-function sharp estimates and the d = 5 energy quotient."""
     cases = []
-    d = _check_corollary(args)
     prof = P.wave_profile(d, -1.0)
     rep = FN.onesided_quotient(prof)
     cases.append(
@@ -230,7 +230,7 @@ def suite_corollary(args):
     return cases
 
 
-def suite_schro_identity(args):
+def suite_schro_identity(args, _):
     res = FN.schro_identity_check(n=args.grid)
     ok = res["rel_err"] < 0.01
     case = _case("schrodinger-identity", f"grid{args.grid}", res["lhs"], res["rhs"], 1.0, ok)
@@ -254,8 +254,8 @@ def _check_search(args):
     return case
 
 
-def suite_search(args):
-    d, k, family = _check_search(args)
+def suite_search(args, checked):
+    d, k, family = checked
     cfg = SearchConfig(budget=args.budget, seed=args.seed, restarts=args.restarts)
     prof, trace, diag = run_search(d, k, family, cfg)
     qs = trace.quotients
@@ -271,7 +271,7 @@ def suite_search(args):
     ]
 
 
-def suite_audit(args):
+def suite_audit(args, _):
     """Geometry invariances and the symmetry behaviour of the quotients."""
     rng = chunk_generator(args.seed, 2)
     cases = []
@@ -317,24 +317,18 @@ def suite_audit(args):
     return cases
 
 
-# Flag checks run before any suite, so a usage error exits 2 up front.
-CHECKS = {
-    "constants": _check_constants,
-    "shells": _check_shells,
-    "bilinear": _check_bilinear,
-    "corollary": _check_corollary,
-    "schrodinger-identity": lambda args: PR.check_grid_size(args.grid),
-    "search": _check_search,
-}
-
+# (flag check, suite) per command.  main runs every check once, before
+# any suite, so a usage error exits 2 up front, and hands each suite what
+# its check returned.
 SUITES = {
-    "constants": suite_constants,
-    "shells": suite_shells,
-    "bilinear": suite_bilinear,
-    "corollary": suite_corollary,
-    "schrodinger-identity": suite_schro_identity,
-    "search": suite_search,
-    "audit": suite_audit,
+    "constants": (_check_constants, suite_constants),
+    "shells": (_check_shells, suite_shells),
+    "bilinear": (_check_bilinear, suite_bilinear),
+    "corollary": (_check_corollary, suite_corollary),
+    "schrodinger-identity": (lambda args: PR.check_grid_size(args.grid),
+                             suite_schro_identity),
+    "search": (_check_search, suite_search),
+    "audit": (lambda args: None, suite_audit),
 }
 
 
@@ -391,18 +385,16 @@ def main(argv=None):
     if args.config:
         # Config values parse as flags placed first, so explicit flags win.
         args = ap.parse_args(_config_flags(ap, args.config) + argv)
-    names = list(SUITES) if args.command == "all" else [args.command]
+    runs = list(SUITES.values()) if args.command == "all" else [SUITES[args.command]]
     try:
-        for name in names:
-            if name in CHECKS:
-                CHECKS[name](args)
+        checked = [check(args) for check, _ in runs]
     except ValueError as exc:
         ap.error(str(exc))
 
     started = time.time()
     cases = []
-    for name in names:
-        cases.extend(SUITES[name](args))
+    for (_, suite), flags in zip(runs, checked):
+        cases.extend(suite(args, flags))
 
     failed = [c for c in cases if not c["pass"]]
     for c in cases:

@@ -191,10 +191,15 @@ class EstimateScale:
         return beta_exponent(self.d, self.k)
 
     @property
-    def sharp_constant(self) -> float:
+    def log_sharp_constant(self) -> float:
+        """log W(d,k) or log S(d,k), whichever the family names."""
         if self.family == WAVE:
-            return wave_sharp_constant(self.d, self.k)
-        return schrodinger_sharp_constant(self.d, self.k)
+            return log_wave_sharp_constant(self.d, self.k)
+        return log_schrodinger_sharp_constant(self.d, self.k)
+
+    @property
+    def sharp_constant(self) -> float:
+        return math.exp(self.log_sharp_constant)
 
     @property
     def attained(self) -> bool:
@@ -214,10 +219,7 @@ def constants_rows(ds, ks, families=FAMILIES):
                     scale = EstimateScale(d, k, family)
                 except ValueError:
                     continue
-                if family == WAVE:
-                    logc = log_wave_sharp_constant(d, k)
-                else:
-                    logc = log_schrodinger_sharp_constant(d, k)
+                logc = scale.log_sharp_constant
                 rows.append(
                     {
                         "family": family,

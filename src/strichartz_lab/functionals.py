@@ -21,7 +21,7 @@ from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, chunk_generator, mc_mean
-from .profiles import ExtremalProfile, sobolev_norm_sq
+from .profiles import ExtremalProfile, checked_decay, sobolev_norm_sq, wave_profile
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
 from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes, uniform_panels
 
@@ -329,13 +329,13 @@ def product_field(evaluators, modulus: bool = False):
 
 def lp_norm_radial(evaluator, p: int, window: Window = None, rel_tol: float = 1e-6,
                    mode: str = "auto", **kw):
-    """||u||_{L^p_{t,x}} for a radial field, p in {2, 4, 6, 10}.
+    """||u||_{L^p_{t,x}} for a radial field, p in {4, 6, 10}.
 
     Computed as (int int |u|^p |S^{d-1}| r^{d-1} dr dt)^{1/p}; returns
     (norm, error estimate).
     """
-    if p not in (2, 4, 6, 10):
-        raise ValueError("p must be one of 2, 4, 6, 10")
+    if p not in (4, 6, 10):
+        raise ValueError("p must be one of 4, 6, 10")
     # Global integrability of a single propagator field: the |t| -> inf
     # slice decays like t^{(d-1)(1-p/2)} (wave ridge) or t^{d(1-p/2)+d/2}
     # (dispersive spreading), so small p diverges in low dimension.
@@ -590,8 +590,6 @@ def cross_term_gap(mode: str = "paper") -> dict:
     inequality is strict; 'coincident' forces u_- = u_+ and 'negated'
     u_- = -u_+, both of which give ratio exactly 1.
     """
-    from .profiles import wave_profile
-
     u0 = wave_profile(2, -1.0, c=math.log(math.pi))
     ev_p = RadialEvaluator(u0)
     if mode == "paper":
@@ -606,7 +604,7 @@ def cross_term_gap(mode: str = "paper") -> dict:
     # The numerator is a signed inner product, so no nonnegative-tail
     # completion is available; run the denominators under the same
     # convention to keep the ratio exactly 1 for the coincident control.
-    kw = dict(window=win, rel_tol=1e-6, mode="cone", ridge_width=0.4, nonneg=False)
+    kw = dict(window=win, ridge_width=0.4, nonneg=False)
     num, en = spacetime_inner([ev_p] * 3, [ev_p, ev_p, ev_m], **kw)
     den1, e1 = product_l2_sq([ev_p] * 3, **kw)
     den2, e2 = product_l2_sq([ev_p, ev_p, ev_m], **kw)
@@ -668,13 +666,6 @@ def mixed_norm_quotient(p: ExtremalProfile) -> QuotientReport:
 _FIBER_BLOCK = 2 ** 15  # most tensor entries a fiber routine evaluates at once
 
 
-def _checked_decay(decay: float) -> float:
-    """decay itself; ValueError unless it is finite and positive."""
-    if not (math.isfinite(decay) and decay > 0.0):
-        raise ValueError(f"decay must be finite and > 0, got {decay!r}")
-    return decay
-
-
 def _contract_rows(block, n_rows: int, row_entries: int, wu):
     """Stack block(rows) @ wu over blocks of outer rows.
 
@@ -704,7 +695,7 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     Gauss-Legendre grids converge fast; the cutoff comes from the decay
     of g (|g(r)| ~ exp(-decay r^2)).
     """
-    span = math.sqrt(70.0 / (2.0 * _checked_decay(decay)))
+    span = math.sqrt(70.0 / (2.0 * checked_decay(decay)))
     q, wq = _gauss_nodes(n_q, 0.0, 2.0 * span)
     R, wR = _gauss_nodes(n_q, 0.0, 2.0 * span)
     u, wu = angular_nodes(d, n_u)
@@ -741,7 +732,7 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     so tensor Gauss grids converge quickly; the spectral decay of g sets
     the tau cutoff.
     """
-    span = 80.0 / _checked_decay(decay)
+    span = 80.0 / checked_decay(decay)
     tau, wt = _gauss_nodes(100, 0.0, span)
     x, wx = _gauss_nodes(100, 0.0, 1.0)  # q = tau * x
     u, wu = angular_nodes(d, 48)
@@ -774,13 +765,13 @@ def _radial_norm_sq(radial_fn, d: int, power: float, rmax: float) -> float:
 
 def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
-    rmax = 80.0 / _checked_decay(decay)
+    rmax = 80.0 / checked_decay(decay)
     return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rmax)
 
 
 def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 1} dr for radial fhat = g."""
-    rmax = math.sqrt(-math.log(1e-280) / (2.0 * _checked_decay(decay))) + 3.0
+    rmax = math.sqrt(-math.log(1e-280) / (2.0 * checked_decay(decay))) + 3.0
     return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, rmax)
 
 
@@ -802,7 +793,7 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
         lhs_err = lhs * abs(v2 - v1) / v2 / 4.0
     elif route == "propagator":
         ev = RadialEvaluator(radial_fn=radial_fn, decay=decay, d=d, family=SCHRODINGER,
-                             quad=QuadSpec(rel_tol=0.25 * rel_tol, abs_tol=1e-11, max_levels=6))
+                             quad=QuadSpec(rel_tol=0.25 * rel_tol, abs_tol=1e-11))
         win = default_window([ev], tail_factor=4.0, core=10.0)
         lhs, lhs_err = lp_norm_radial(ev, 4, window=win, rel_tol=rel_tol,
                                       max_levels=4, ext_factor=1.6)
@@ -822,7 +813,7 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
 # Functional equation residual
 
 
-def functional_eq_residual(g, d: int, seed: int = 0, cone_scale: float = 1.0) -> float:
+def functional_eq_residual(g, d: int, seed: int = 0) -> float:
     """RMS multiplicativity defect of g over constrained quadruples.
 
     Samples (tau, xi) inside the forward cone and two independent
@@ -833,7 +824,7 @@ def functional_eq_residual(g, d: int, seed: int = 0, cone_scale: float = 1.0) ->
     """
     n_samples = 2000
     rng = chunk_generator(seed, 0)
-    xi = cone_scale * rng.normal(size=(n_samples, d))
+    xi = rng.normal(size=(n_samples, d))
     ratios = 1.2 + 2.8 * rng.random(n_samples)
     tau = np.linalg.norm(xi, axis=1) * ratios
     rho = tau * tau - np.einsum("nd,nd->n", xi, xi)

@@ -131,20 +131,17 @@ def _pair_term(a, b) -> float:
 
     For nearly parallel vectors the direct difference loses all digits;
     the Lagrange identity |a|^2|b|^2 - (a.b)^2 = sum_{m<n}(a_m b_n - a_n b_m)^2
-    provides a nonnegative numerator, and division by |a||b| + a.b is safe
-    whenever a.b >= 0.
+    provides a nonnegative numerator, and the division is by
+    |a||b| + a.b >= a.b > 0.
     """
     na = math.sqrt(float(np.dot(a, a)))
     nb = math.sqrt(float(np.dot(b, b)))
     dot = float(np.dot(a, b))
     if dot <= 0.0:
         return na * nb - dot
-    denom = na * nb + dot
-    if denom == 0.0:
-        return 0.0
     cross = np.outer(a, b) - np.outer(b, a)
     gram = 0.5 * float(np.sum(cross * cross))
-    return gram / denom
+    return gram / (na * nb + dot)
 
 
 def wave_weight(eta) -> float:

@@ -24,6 +24,13 @@ from .quadrules import angular_nodes, gauss_nodes
 _N_QUAD = 200
 
 
+def checked_decay(decay: float) -> float:
+    """decay itself; ValueError unless it is finite and positive."""
+    if not (math.isfinite(decay) and decay > 0.0):
+        raise ValueError(f"decay must be finite and > 0, got {decay!r}")
+    return decay
+
+
 @dataclass
 class ExtremalProfile:
     family: str
@@ -45,8 +52,7 @@ class ExtremalProfile:
         self.c = complex(self.c)
         if self.sign not in (1, -1):
             raise ValueError("propagator sign must be +1 or -1")
-        if self.a.real >= 0:
-            raise ValueError("profile requires Re(a) < 0")
+        checked_decay(-self.a.real)
 
     @property
     def decay(self) -> float:

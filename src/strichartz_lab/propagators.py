@@ -40,17 +40,19 @@ import numpy as np
 from scipy import special
 
 from .constants import WAVE, SCHRODINGER, sphere_area
-from .profiles import ExtremalProfile
+from .profiles import ExtremalProfile, checked_decay
 from .quadrules import QuadratureError, uniform_panels
 
 # Fixed geometry of the radial quadrature: at least 24 panels, two per
 # oscillation period, a tail cut 2/sigma past the certified radius, 48-row
-# time blocks, kernel matrices built in chunks of at most 4e6 entries.
+# time blocks, kernel matrices built in chunks of at most 4e6 entries, and
+# at most six rungs above a block's base rung.
 _MIN_PANELS = 24
 _PANELS_PER_PERIOD = 2.0
 _TAIL_MARGIN = 2.0
 _T_BLOCK = 48
 _KERNEL_CHUNK = 4_000_000
+_MAX_LEVELS = 6
 
 
 def angular_kernel(d: int, s):
@@ -97,11 +99,10 @@ def closed_form_kappa(d: int) -> float:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Adaptive-refinement policy for the radial oscillatory quadrature."""
+    """Tolerances of the radial oscillatory quadrature."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
-    max_levels: int = 6
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -186,7 +187,8 @@ class RadialEvaluator:
         elif radial_fn is None or decay is None or d is None:
             raise ValueError("ansatz evaluators need radial_fn, decay and d")
         self.quad, self.method, self.profile, self._g = quad, method, profile, radial_fn
-        self.decay, self.d, self.family, self.sign = float(decay), int(d), family, sign
+        self.decay = checked_decay(float(decay))
+        self.d, self.family, self.sign = int(d), family, sign
         self.amp_bound = float(amp_bound if amp_bound is not None else 1.0)
 
     # -- field protocol ----------------------------------------------------
@@ -309,7 +311,7 @@ class RadialEvaluator:
                         vals[blocks[b]], errs[blocks[b]] = cur, err
                         pending.remove(b)
                         continue
-                if rung - base[b] >= q.max_levels:
+                if rung - base[b] >= _MAX_LEVELS:
                     raise QuadratureError("radial quadrature did not converge",
                                           best=cur, error=err)
                 prev[b] = cur

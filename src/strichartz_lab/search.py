@@ -25,6 +25,7 @@ from scipy import optimize
 from .constants import WAVE, SCHRODINGER
 from . import functionals as FN
 from .mc import chunk_generator
+from .profiles import symmetry_apply
 from .propagators import QuadSpec, RadialEvaluator
 from .quadrules import QuadratureError
 
@@ -120,7 +121,7 @@ def quotient_objective(d: int, k: int, family: str):
         )
         win = FN.default_window([ev], tail_factor=6.0)
         lhs, _ = FN.lp_norm_radial(ev, 6, window=win, rel_tol=8e-4, max_levels=3,
-                                   ext_factor=1.4, mode="rect")
+                                   ext_factor=1.4)
         H = FN.wave_radial_norm_sq(g, 3, 0.5, sigma)
         E = FN.wave_radial_norm_sq(g, 3, 1.0, sigma)
         rhs = (H * E * E) ** (1.0 / 6.0)
@@ -141,9 +142,9 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
            x0=None):
     """Nelder-Mead ascent with restarts; returns (best profile, trace, diag).
 
-    The recorded trace holds every accepted improvement of the quotient,
-    so its quotient sequence is non-decreasing by construction (across
-    merged restarts too); identical (seed, config) reruns produce
+    The recorded trace holds every evaluation that beats the running
+    maximum of all restarts so far, so its quotient sequence is
+    increasing by construction; identical (seed, config) reruns produce
     bit-identical traces.  Exhausting the budget without meeting the
     simplex tolerance leaves terminated_by = 'budget' (partial result).
     An evaluation whose quadrature fails scores quotient 0 and is counted
@@ -157,8 +158,23 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             raise ValueError(f"x0 must be a finite vector of m = {config.m} entries")
     rng = chunk_generator(config.seed, 0)
     trace = SearchTrace()
-    best_theta, best_q = None, -math.inf
+    best_q = -math.inf
     evals_used = failed_evals = 0
+
+    def neg_q(theta):
+        nonlocal best_q, evals_used, failed_evals
+        evals_used += 1
+        if np.any(np.abs(theta) > 12.0):
+            return 0.0
+        try:
+            q = objective(AnsatzProfile(theta, d, family))
+        except QuadratureError:
+            failed_evals += 1
+            return 0.0
+        if q > best_q:
+            best_q = q
+            trace.iterates.append((tuple(theta), q))
+        return -q
 
     for restart in range(config.restarts):
         if x0 is not None and restart == 0:
@@ -167,22 +183,6 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             start = np.zeros(config.m)
             start[0] = rng.normal(scale=0.5)
             start[1:] = rng.normal(scale=_INIT_SPREAD, size=config.m - 1)
-        counter = [0, 0]  # evaluations, quadrature failures
-        improvements = []
-
-        def neg_q(theta):
-            counter[0] += 1
-            if np.any(np.abs(theta) > 12.0):
-                return 0.0
-            try:
-                q = objective(AnsatzProfile(theta, d, family))
-            except QuadratureError:
-                counter[1] += 1
-                return 0.0
-            if q > (improvements[-1][1] if improvements else -math.inf):
-                improvements.append((tuple(theta), q))
-            return -q
-
         res = optimize.minimize(
             neg_q,
             start,
@@ -194,20 +194,12 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
                 "adaptive": True,
             },
         )
-        evals_used += counter[0]
-        failed_evals += counter[1]
-        # Merge accepted improvements, keeping the global running maximum.
-        for theta, q in improvements:
-            if not trace.iterates or q >= trace.iterates[-1][1]:
-                trace.iterates.append((theta, q))
-        if improvements and improvements[-1][1] > best_q:
-            best_theta, best_q = np.asarray(improvements[-1][0]), improvements[-1][1]
         if res.success:
             trace.terminated_by = "tolerance"
 
-    if best_theta is None:
+    if not trace.iterates:
         raise RuntimeError("every objective evaluation failed; no usable iterate")
-    profile = AnsatzProfile(best_theta, d, family)
+    profile = AnsatzProfile(np.asarray(trace.iterates[-1][0]), d, family)
     diag = exponential_fit_diagnostic(profile)
     diag["best_quotient"] = best_q
     diag["evaluations"] = evals_used
@@ -257,8 +249,6 @@ def symmetry_invariance_audit(profile, elements, quotient_fn) -> dict:
     functional the change is quadrature-level noise; for the Galilean
     boost on the mixed-norm quotient it is genuinely nonzero.
     """
-    from .profiles import symmetry_apply
-
     q0 = quotient_fn(profile)
     changes = {}
     for name, g in elements.items():

@@ -8,6 +8,7 @@ import pytest
 
 from strichartz_lab import cli
 from strichartz_lab import constants as C
+from strichartz_lab import search as S
 from strichartz_lab import shells as SH
 
 
@@ -34,6 +35,30 @@ def test_constants_csv(tmp_path):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert header == "family,d,k,exponent,constant,log10_constant"
+
+
+def test_constants_run_builds_the_catalog_once(monkeypatch):
+    calls = []
+    real = C.constants_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(C, "constants_rows", counted)
+    assert run(["constants"]) == 0
+    assert len(calls) == 1
+
+
+def test_search_trace_csv_has_a_row_per_iterate(tmp_path):
+    path = tmp_path / "trace.csv"
+    run(["search", "--budget", "2", "--restarts", "1", "--trace-csv", str(path)])
+    _, trace, _ = S.search(4, 2, C.SCHRODINGER, S.SearchConfig(budget=2, seed=2024))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iterate,quotient," + ",".join(f"theta{i}" for i in range(6))
+    assert len(lines) == len(trace.iterates) + 1 >= 2
+    for i, (line, (theta, q)) in enumerate(zip(lines[1:], trace.iterates)):
+        assert line == "%d,%.15g," % (i, q) + ",".join("%.15g" % t for t in theta)
 
 
 def test_shells_suite_deterministic(tmp_path):

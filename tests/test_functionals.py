@@ -11,7 +11,7 @@ from strichartz_lab import constants as C
 from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
-from strichartz_lab.constants import sphere_area
+from strichartz_lab.constants import SCHRODINGER, WAVE, sphere_area
 from strichartz_lab.quadrules import angular_nodes, gauss_nodes, panel_nodes
 from strichartz_lab.search import AnsatzProfile
 
@@ -185,6 +185,11 @@ def test_fiber_routines_never_evaluate_more_than_one_block():
 
 _G = lambda rho: np.exp(-rho)
 _DECAY_ROUTINES = {
+    # The profile's decay is -Re(a), so a = nan is one of the cases.
+    "ExtremalProfile": lambda decay: P.ExtremalProfile(WAVE, 3, -decay),
+    "RadialEvaluator_wave": lambda decay: PR.RadialEvaluator(radial_fn=_G, decay=decay, d=4),
+    "RadialEvaluator_schrodinger": lambda decay: PR.RadialEvaluator(
+        radial_fn=_G, decay=decay, d=4, family=SCHRODINGER),
     "wave_bilinear_lhs_fiber": lambda decay: FN.wave_bilinear_lhs_fiber(_G, _G, 5, decay),
     "schro_quartic_norm4": lambda decay: FN.schro_quartic_norm4(_G, 4, decay),
     "wave_radial_norm_sq": lambda decay: FN.wave_radial_norm_sq(_G, 5, 1.0, decay),
@@ -376,7 +381,7 @@ def test_functional_equation_residual_cases():
     assert FN.functional_eq_residual(g_one, 3, seed=2) == 0.0
     g_vanish = lambda eta: np.exp(-200.0 * np.linalg.norm(eta, axis=1) ** 2)
     with pytest.raises(ValueError):
-        FN.functional_eq_residual(g_vanish, 3, seed=2, cone_scale=3.0)
+        FN.functional_eq_residual(g_vanish, 3, seed=2)
 
 
 def test_schro_identity_grid():

@@ -1,12 +1,14 @@
 """Extremal profiles: norms, admissibility, splitting, symmetries."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import strichartz_lab
 from strichartz_lab import profiles as P
 from strichartz_lab.constants import WAVE, SCHRODINGER, sphere_area
 
@@ -20,6 +22,13 @@ def test_profile_validation():
         P.ExtremalProfile(WAVE, 3, -1.0, b=np.zeros(2))
     p = P.wave_profile(3, -1.0 + 2.0j)
     assert p.decay == 1.0 and p.admissible
+
+
+def test_decay_rule_is_written_only_in_profiles():
+    src = Path(strichartz_lab.__file__).parent
+    owners = sorted(p.name for p in src.glob("*.py")
+                    if "decay must be finite" in p.read_text())
+    assert owners == ["profiles.py"]
 
 
 def test_admissibility_boundary():
@@ -95,6 +104,24 @@ def test_sobolev_schrodinger_values():
             / (2 * math.pi) ** 4
         )
         assert P.sobolev_norm_sq(p, s) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_sobolev_schrodinger_d1_quadrature_path(s):
+    # d = 1 has no angular factor: at b = 0 the radial quadrature equals
+    # e^{2 Re c} Gamma(s + 1/2) / (2 sigma)^{s + 1/2} / (2 pi).
+    sigma, c = 0.7, 0.3
+    p = P.schrodinger_profile(1, -sigma, c=c)
+    want = math.exp(2.0 * c) * math.gamma(s + 0.5) / (2.0 * sigma) ** (s + 0.5) / (2 * math.pi)
+    assert P.sobolev_norm_sq(p, s) == pytest.approx(want, rel=1e-12)
+    # A real tilt makes the two half-lines unequal: check against the
+    # line integral (2 pi)^{-1} int |xi|^{2s} e^{-2 sigma xi^2 + 2 beta xi}.
+    beta = 0.9
+    tilted = P.schrodinger_profile(1, -sigma, b=np.array([beta]), c=c)
+    f = lambda x: abs(x) ** (2 * s) * math.exp(-2 * sigma * x * x + 2 * beta * x)
+    line = integrate.quad(f, -np.inf, 0.0)[0] + integrate.quad(f, 0.0, np.inf)[0]
+    want_t = math.exp(2.0 * c) * line / (2 * math.pi)
+    assert P.sobolev_norm_sq(tilted, s) == pytest.approx(want_t, rel=1e-10)
 
 
 def test_sobolev_wave_precondition():
