@@ -55,9 +55,9 @@ def _flag(args, name, default):
 
 
 def _check_constants(args):
-    """(ds, ks, families, catalog rows) of the constants suite, d in 2..6
-    and k in 2..4 unless --d, --k or --family narrow them; ValueError
-    when the flags leave no catalog row."""
+    """Catalog rows of the constants suite, d in 2..6 and k in 2..4 unless
+    --d, --k or --family narrow them; ValueError when the flags leave no
+    catalog row."""
     ds = list(range(2, 7)) if args.d is None else [args.d]
     ks = [2, 3, 4] if args.k is None else [args.k]
     fams = list(C.FAMILIES) if args.family is None else [args.family]
@@ -65,12 +65,11 @@ def _check_constants(args):
     if not rows:
         raise ValueError(f"constants has no catalog row for d in {ds}, k in {ks}, "
                          f"family in {fams}")
-    return ds, ks, fams, rows
+    return rows
 
 
-def suite_constants(args, checked):
+def suite_constants(args, rows):
     """Catalog W(d,k), S(d,k) plus the published-formula consistency checks."""
-    ds, ks, fams, rows = checked
     cases = []
     for row in rows:
         fam, d, k, const = row["family"], row["d"], row["k"], row["constant"]
@@ -95,7 +94,7 @@ def suite_constants(args, checked):
               abs(s12 - 2.0 * C.schro_identity_constant()) < 1e-15 * s12)
     )
     if args.out_csv:
-        C.write_constants_csv(args.out_csv, ds, ks, fams)
+        C.write_constants_csv(args.out_csv, rows)
     return cases
 
 

@@ -233,9 +233,8 @@ def constants_rows(ds, ks, families=FAMILIES):
     return rows
 
 
-def write_constants_csv(path, ds=range(2, 7), ks=range(2, 5), families=FAMILIES):
-    """Write the constants table with 15 significant digits."""
-    rows = constants_rows(ds, ks, families)
+def write_constants_csv(path, rows):
+    """Write catalog rows (from constants_rows) with 15 significant digits."""
     with open(path, "w") as fh:
         fh.write("family,d,k,exponent,constant,log10_constant\n")
         for row in rows:
@@ -250,4 +249,3 @@ def write_constants_csv(path, ds=range(2, 7), ks=range(2, 5), families=FAMILIES)
                     row["log10_constant"],
                 )
             )
-    return rows

@@ -23,7 +23,7 @@ from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, chunk_generator, mc_mean
 from .profiles import ExtremalProfile, checked_decay, sobolev_norm_sq, wave_profile
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
-from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes, uniform_panels
+from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
 
 _PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
 # The d = 4 Schrodinger mixed-norm constant (32 pi)^{-1/4}.
@@ -184,52 +184,41 @@ def _rect_pass(F, d, win: Window, level: int):
     return sphere_area(d) * np.dot(wt, vals @ weight)
 
 
-def _unit_core(d: int, n_pan: int):
-    """Nodes and weights * nodes^(d-1) of n_pan uniform unit panels on
-    [0, n_pan]; a row of m panels of width h reads the first m panels."""
-    nodes, weights = uniform_panels(n_pan, _PANEL_ORDER)
-    return nodes, weights * nodes ** (d - 1)
+_CONE_CHUNK = 2 ** 16  # most (t, r) entries of a cone pass evaluated at once
 
 
-def _unit_tail(d: int, panels: int):
-    """Nodes and weights * nodes^(d-1) of the geometric panels on [1, 6]."""
-    nodes, weights = panel_nodes(_geom_edges(1.0, 6.0, panels), _PANEL_ORDER)
-    return nodes, weights * nodes ** (d - 1)
+def _cone_pass(F, d, win: Window, level: int, ridge_width: float, peaks):
+    """Pass over graded rows hugging the light cone, evaluated in row chunks.
 
-
-def _cone_pass(F, d, win: Window, level: int, ridge_width: float):
-    """Row-wise pass with per-time radial grids hugging the light cone.
-
-    For each time node the radial window is [0, reach(t)] with panel
-    width capped at ridge_width, which keeps the travelling peak
-    resolved out to very large times at O(reach/width) nodes per row.
-    The radial resolution stops refining after two levels (it already
-    resolves the ridge); later levels refine the time panels only.
-
-    Every row is a scaled copy of one unit row: n_pan uniform panels of
-    width h = reach/n_pan on [0, reach] (nodes h * core, weights
-    h^d * core weights) plus a geometric tail on [reach, 6 reach]
-    (nodes reach * tail, weights reach^d * tail weights).
+    The field's ridges at time t sit at r ~ c_j = |t - t_j|, t_j the
+    distinct peaks.  Each row has panel edges c_j +/- w (0, 1, 1 + q,
+    1 + q + q^2, ...), w = ridge_width (the geometric hp mesh: panels of
+    the ridge width at the ridge, growing by q away from it), clipped to
+    [0, 6 reach(t)] together with both endpoints, where reach(t) covers
+    the farthest ridge plus 12 w.  The offsets reach 6 reach on every
+    row, so every row has the same panel count (clipped panels have zero
+    width and weight) and a pass is one (n_t, n_r) array, evaluated in
+    chunks of rows of at most _CONE_CHUNK entries, one F call each.
+    q = 2 at level 0 and sqrt(2) after, so the radial mesh refines once
+    and later levels refine the time panels only.
     """
     t, wt = panel_nodes(_t_edges(win, level), _PANEL_ORDER)
-    r_refine = 1 << min(level, 1)
-    # Outgoing ridges sit at r ~ |t - t_peak|; cover the farthest one,
-    # then follow the polynomial off-cone decay with a geometric tail.
-    reach = np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width
-    n_pan = np.maximum(6, np.ceil(reach / ridge_width)).astype(int) * r_refine
-    core, core_w = _unit_core(d, int(n_pan.max()))
-    tail, tail_w = _unit_tail(d, 6 * r_refine)
-    r = np.empty(core.size + tail.size)
-    total = 0.0 + 0.0j
-    for i, (wi, span, n) in enumerate(zip(wt.tolist(), reach.tolist(), n_pan.tolist())):
-        m = n * _PANEL_ORDER
-        h = span / n
-        row_r = r[:m + tail.size]
-        np.multiply(core[:m], h, out=row_r[:m])
-        np.multiply(tail, span, out=row_r[m:])
-        row = F(t[i:i + 1], row_r)[0]
-        total += wi * (h ** d * np.dot(row[:m], core_w[:m])
-                       + span ** d * np.dot(row[m:], tail_w))
+    span = 6.0 * (np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width)
+    q = 2.0 if level == 0 else math.sqrt(2.0)
+    n = math.ceil(math.log1p((q - 1.0) * span.max() / ridge_width) / math.log(q))
+    steps = ridge_width * np.cumsum(q ** np.arange(n))
+    offsets = np.concatenate([-steps[::-1], [0.0], steps])
+    peaks = np.unique(peaks)
+    n_edges = peaks.size * offsets.size + 2
+    rows = max(1, _CONE_CHUNK // ((n_edges - 1) * _PANEL_ORDER))
+    total = 0.0
+    for i in range(0, t.size, rows):
+        ti, hi = t[i:i + rows], span[i:i + rows, None]
+        ridges = (np.abs(ti[:, None] - peaks)[:, :, None] + offsets).reshape(ti.size, -1)
+        edges = np.concatenate([np.zeros_like(hi), np.clip(ridges, 0.0, hi), hi], axis=1)
+        r, wr = panel_nodes(np.sort(edges, axis=1), _PANEL_ORDER)
+        wr *= r ** (d - 1)
+        total += np.dot(wt[i:i + rows], np.sum(F(ti, r) * wr, axis=1))
     return sphere_area(d) * total
 
 
@@ -266,7 +255,8 @@ def spacetime_integral(
         window = default_window(evaluators)
     if ridge_width is None:
         ridge_width = 0.5 * min(ev.decay for ev in evaluators)
-    cone = lambda f, dd, w, l: _cone_pass(f, dd, w, l, ridge_width)
+    peaks = [t for ev in evaluators for t in ev.t_peaks]
+    cone = lambda f, dd, w, l: _cone_pass(f, dd, w, l, ridge_width, peaks)
     run = _rect_pass if _pick_mode(evaluators, mode) == "rect" else cone
     prev = run(F, d, window, 0)
     for level in range(1, max_levels + 1):
@@ -294,9 +284,10 @@ def spacetime_integral(
 
 def _pick_mode(evaluators, mode: str) -> str:
     """'auto' runs the cone-following driver when every factor is a
-    cheap closed-form wave kernel (per-row evaluation), else the
-    shared-grid rectangular driver (kernel matrices reused across a
-    time block); 'rect' and 'cone' force a driver, anything else raises."""
+    cheap closed-form wave kernel (graded rows, one 2-D r per chunk),
+    else the shared-grid rectangular driver (kernel matrices reused
+    across a time block); 'rect' and 'cone' force a driver, anything
+    else raises."""
     if mode not in ("auto", "rect", "cone"):
         raise ValueError(f"mode must be 'auto', 'rect' or 'cone', got {mode!r}")
     if mode != "auto":

@@ -216,7 +216,7 @@ class RadialEvaluator:
 
     def _closed_form_grid(self, t, r):
         p = self.profile
-        r = np.asarray(r, dtype=float)[None, :]
+        r = np.atleast_2d(r)
         if self.family == WAVE:
             base = self._wave_z2(t) + r * r
             return np.exp(p.c) * closed_form_kappa(p.d) * _inv_half_power(base, p.d - 1)
@@ -237,7 +237,7 @@ class RadialEvaluator:
         """|u|^2 of the wave closed form in real arithmetic: only the time
         column is complex, and q = |z^2 + r^2|^2 is built from its parts."""
         z2 = self._wave_z2(t)
-        q = z2.real + np.asarray(r, dtype=float)[None, :] ** 2
+        q = z2.real + np.atleast_2d(r) ** 2
         q *= q
         q += z2.imag ** 2
         out = _inv_half_power(q, self.d - 1)
@@ -322,10 +322,11 @@ class RadialEvaluator:
         """u on the tensor grid t x r, adaptively refined by doubling;
         |u|^2 with modulus=True (an error e of u bounds |u|^2 by e (2|u| + e)).
         Closed-form wave fields answer modulus=True in real arithmetic.
+        Closed forms also take r of shape (t.size, n), row i at time t[i].
 
         Quadrature grids are refined in blocks of time nodes grouped by
         |t|, so small-|t| rows never pay for the oscillation rate of the
-        largest times.
+        largest times; they need a 1-D r.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -337,6 +338,8 @@ class RadialEvaluator:
                 if modulus:
                     vals = np.abs(vals) ** 2
             return (vals, np.zeros(vals.shape)) if with_error else vals
+        if r.ndim > 1:
+            raise ValueError("the radial quadrature needs a 1-D r grid")
         vals, errs = self._quad_blocks(t, r)
         if modulus:
             if with_error:

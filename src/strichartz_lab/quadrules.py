@@ -25,12 +25,16 @@ def gauss_nodes(n: int, lo: float, hi: float):
 
 
 def panel_nodes(edges, n: int):
-    """n-point GL nodes/weights on every panel between consecutive edges, flattened."""
+    """n-point GL nodes/weights on every panel between consecutive edges
+    along the last axis, flattened along it: edges of shape (..., m + 1)
+    give nodes and weights of shape (..., m * n), each row equal bit for
+    bit to the call on that row alone."""
     x, w = leggauss(n)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    return nodes, (half[:, None] * w[None, :]).ravel()
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = half.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+    return nodes, (half[..., None] * w).reshape(shape)
 
 
 def uniform_panels(n_panels: int, n: int):

@@ -37,7 +37,7 @@ def test_constants_csv(tmp_path):
     assert header == "family,d,k,exponent,constant,log10_constant"
 
 
-def test_constants_run_builds_the_catalog_once(monkeypatch):
+def test_constants_run_builds_the_catalog_once(monkeypatch, tmp_path):
     calls = []
     real = C.constants_rows
 
@@ -48,6 +48,11 @@ def test_constants_run_builds_the_catalog_once(monkeypatch):
     monkeypatch.setattr(C, "constants_rows", counted)
     assert run(["constants"]) == 0
     assert len(calls) == 1
+    # The CSV export writes the rows the suite already holds.
+    csv_path = tmp_path / "table.csv"
+    assert run(["constants", "--out-csv", str(csv_path)]) == 0
+    assert len(calls) == 2
+    assert len(csv_path.read_text().splitlines()) == len(real(*calls[-1])) + 1
 
 
 def test_search_trace_csv_has_a_row_per_iterate(tmp_path):

@@ -176,7 +176,8 @@ def test_estimate_scale_flags_and_validation():
 
 def test_constants_csv_export(tmp_path):
     path = tmp_path / "constants.csv"
-    rows = C.write_constants_csv(path)
+    rows = C.constants_rows(range(2, 7), range(2, 5))
+    C.write_constants_csv(path, rows)
     text = path.read_text().splitlines()
     assert text[0] == "family,d,k,exponent,constant,log10_constant"
     assert len(text) == len(rows) + 1

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from strichartz_lab import constants as C
@@ -485,9 +486,9 @@ def test_modulus_route_matches_complex_inner_product(d):
     assert inner.real == pytest.approx(lhs, rel=1e-12)
 
 
-# The per-row cone build before rows became scaled unit templates, kept as
-# the reference: linspace edges plus a geometric tail through panel_nodes,
-# weights wr * r^(d-1).
+# The uniform cone rows used before the rows were graded, kept as the
+# test-only reference: per row, panels no wider than the ridge width on
+# [0, reach] plus a geometric tail to 6 reach, through panel_nodes.
 def _reference_cone_row(d, reach, n_pan, r_refine):
     edges = np.linspace(0.0, reach, n_pan + 1)
     tail = FN._geom_edges(reach, 6.0 * reach, 6 * r_refine)
@@ -508,12 +509,18 @@ def _reference_cone_pass(F, d, win, level, ridge_width):
     return sphere_area(d) * total
 
 
-def _template_cone_row(d, reach, n_pan, r_refine):
-    core, core_w = FN._unit_core(d, n_pan)
-    tail, tail_w = FN._unit_tail(d, 6 * r_refine)
-    h, m = reach / n_pan, 8 * n_pan
-    return (np.concatenate([h * core[:m], reach * tail]),
-            np.concatenate([h ** d * core_w[:m], reach ** d * tail_w]))
+def _graded_row(ti, peaks, span, n, level, ridge_width):
+    """One graded row built on its own: edges c_j + w S_m and c_j - w S_m,
+    S_m = 1 + q + ... + q^(m-1) for m < n + 1, clipped to [0, span]."""
+    q = 2.0 if level == 0 else math.sqrt(2.0)
+    sums = [0.0]
+    for m in range(n):
+        sums.append(sums[-1] + q ** m)
+    edges = [0.0, span]
+    for c in np.unique(np.abs(ti - np.asarray(peaks))):
+        edges += [min(max(c + sign * ridge_width * s, 0.0), span)
+                  for s in sums for sign in ((1.0,) if s == 0.0 else (1.0, -1.0))]
+    return panel_nodes(np.sort(edges), 8)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -521,26 +528,42 @@ def _template_cone_row(d, reach, n_pan, r_refine):
 @pytest.mark.parametrize("reach, ridge_width", [(0.7, 0.5), (3.1, 0.5), (17.3, 0.37),
                                                 (123.4, 0.05), (1000.0, 0.1)])
 def test_cone_row_templates_match_the_per_row_build(d, level, reach, ridge_width):
-    r_refine = 1 << min(level, 1)
-    n_pan = max(6, int(math.ceil(reach / ridge_width))) * r_refine
-    r_old, wr_old = _reference_cone_row(d, reach, n_pan, r_refine)
-    r_new, w_new = _template_cone_row(d, reach, n_pan, r_refine)
-    assert r_new.size == r_old.size
-    np.testing.assert_allclose(r_new, r_old, rtol=1e-14, atol=0.0)
-    # The reference half-widths are differences of linspace edges near
-    # i * h, off by up to about i ulp; the templates use h itself.
-    np.testing.assert_allclose(w_new, wr_old * r_old ** (d - 1),
-                               rtol=1e-14 + 2.0 * n_pan * np.finfo(float).eps, atol=0.0)
-    # Against the same rule in extended precision the templates hold 1e-14.
-    x, w = (np.asarray(v, dtype=np.longdouble) for v in np.polynomial.legendre.leggauss(8))
-    unit = (np.arange(n_pan, dtype=np.longdouble)[:, None] + (1 + x) / 2).ravel()
-    h = np.longdouble(reach) / n_pan
-    exact = h ** d * np.tile(w / 2, n_pan) * unit ** (d - 1)
-    np.testing.assert_allclose(w_new[:8 * n_pan], exact.astype(float), rtol=1e-14, atol=0.0)
+    # A pass shifts one offset template w (0, 1, 1 + q, ...) to every ridge
+    # of every row of a chunk at once; each row must be its own build.
+    win = FN.Window(0.0, reach, 3.0 * reach, 2.0 * reach, 4.0 * reach, spread=0.25 * reach)
+    peaks = [-0.25 * reach, 0.25 * reach, 0.25 * reach]  # two distinct ridges
+    calls = []
+
+    def F(t, r):
+        calls.append((t, r))
+        return np.ones_like(r)
+
+    total = FN._cone_pass(F, d, win, level, ridge_width, peaks)
+    t, wt = panel_nodes(FN._t_edges(win, level), 8)
+    assert np.array_equal(np.concatenate([c[0] for c in calls]), t)
+    assert all(r.size <= FN._CONE_CHUNK for _, r in calls)
+    span = 6.0 * (np.abs(t) + win.spread + 12.0 * ridge_width)
+    rows = np.concatenate([c[1] for c in calls])
+    n = (rows.shape[1] // 8 - 3) // 4  # 2 ridges of 2n + 1 edges, plus both ends
+    assert rows.shape == (t.size, 8 * (4 * n + 3))
+    q = 2.0 if level == 0 else math.sqrt(2.0)
+    # The offsets just reach the largest span, so no row needs more.
+    assert ridge_width * (q ** n - 1) / (q - 1) >= span.max() * (1 - 1e-12)
+    assert ridge_width * (q ** (n - 1) - 1) / (q - 1) < span.max()
+    for i in range(0, t.size, max(1, t.size // 60)):  # 60 rows across the pass
+        want, _ = _graded_row(t[i], peaks, span[i], n, level, ridge_width)
+        np.testing.assert_allclose(rows[i], want, rtol=0.0,
+                                   atol=16 * np.finfo(float).eps * span[i])
+    # Weights: r^(d-1) is integrated exactly on every row, clipped panels add 0.
+    exact = sphere_area(d) * np.dot(wt, span ** d / d)
+    assert total == pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_cone_pass_matches_the_per_row_reference(d):
+def test_cone_pass_matches_the_per_row_reference(d, monkeypatch):
+    # Graded rows and the uniform reference rows give the same integral
+    # within the error the graded call reports, for |u_1 u_2|^2 and the
+    # signed product, on a window where rows take many sizes.
     rng = np.random.default_rng(40 + d)
     evs = [
         PR.RadialEvaluator(P.wave_profile(
@@ -550,16 +573,59 @@ def test_cone_pass_matches_the_per_row_reference(d):
     ]
     win = FN.default_window(evs, tail_factor=3.0, core=6.0)
     modulus, signed = FN.product_field(evs, modulus=True), FN.product_field(evs)
-    for level in (0, 1, 2):
-        for ridge_width in (0.3, 0.45):
-            for F in (modulus, signed):
-                new = FN._cone_pass(F, d, win, level, ridge_width)
-                old = _reference_cone_pass(F, d, win, level, ridge_width)
-                # The signed product cancels, so its bound is relative to
-                # the pass of its modulus.
-                scale = _reference_cone_pass(lambda t, r: np.abs(F(t, r)), d, win, level,
-                                             ridge_width).real
-                assert abs(new - old) <= 1e-13 * scale
-            t, _ = panel_nodes(FN._t_edges(win, level), 8)
-            reach = np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width
-            assert len(np.unique(np.ceil(reach / ridge_width))) > 20  # many row sizes
+    graded = FN._cone_pass
+
+    def reference(F, dd, w, level, ridge_width, peaks):
+        return _reference_cone_pass(F, dd, w, level, ridge_width)
+
+    for ridge_width in (0.3, 0.45):
+        for F, nonneg in ((modulus, True), (signed, False)):
+            kw = dict(window=win, mode="cone", ridge_width=ridge_width, nonneg=nonneg)
+            monkeypatch.setattr(FN, "_cone_pass", graded)
+            new, err = FN.spacetime_integral(F, evs, **kw)
+            monkeypatch.setattr(FN, "_cone_pass", reference)
+            old, _ = FN.spacetime_integral(F, evs, **kw)
+            assert abs(new - old) <= err
+            if nonneg:  # and within the driver's default rel_tol
+                assert new == pytest.approx(old, rel=1e-6)
+        t, _ = panel_nodes(FN._t_edges(win, 2), 8)
+        reach = np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width
+        assert len(np.unique(np.ceil(reach / ridge_width))) > 20  # many reference row sizes
+
+
+# Cone-driver |u_1 ... u_k|^2 integrals of random closed-form tuples, on
+# criterion 07's (d, k) strata.  The window and every grid are built
+# relative to the peaks and the decay scale, so the symmetries hold to
+# rounding, not only to the quadrature tolerance.
+@st.composite
+def _closed_form_tuples(draw):
+    d, k = draw(st.sampled_from([(3, 2), (5, 2), (4, 2), (2, 3)]))
+    unit = st.floats(-1.0, 1.0)
+    return [
+        P.wave_profile(d, complex(-math.exp(0.4 * draw(unit)), 0.5 * draw(unit)),
+                       c=complex(0.3 * draw(unit), math.pi * draw(unit)),
+                       sign=draw(st.sampled_from([1, -1])))
+        for _ in range(k)
+    ]
+
+
+def _cone_lhs(profs):
+    evs = [PR.RadialEvaluator(p) for p in profs]
+    val, _ = FN.product_l2_sq(evs, window=FN.default_window(evs, tail_factor=3.0, core=6.0),
+                              mode="cone")
+    return val
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(profs=_closed_form_tuples(), t0=st.floats(-3.0, 3.0))
+def test_cone_lhs_is_invariant_under_time_translation(profs, t0):
+    moved = [P.symmetry_apply(P.Translate(t0), p) for p in profs]
+    assert _cone_lhs(moved) == pytest.approx(_cone_lhs(profs), rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(profs=_closed_form_tuples(), lam=st.floats(0.5, 2.0))
+def test_cone_lhs_scales_as_lambda_to_minus_d_plus_1(profs, lam):
+    d = profs[0].d
+    scaled = [P.symmetry_apply(P.Scaling(1.0, lam), p) for p in profs]
+    assert lam ** (d + 1) * _cone_lhs(scaled) == pytest.approx(_cone_lhs(profs), rel=1e-12)

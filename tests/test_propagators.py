@@ -413,3 +413,32 @@ def test_modulus_of_quadrature_field_carries_a_bound():
     abs2, err = loose.eval_grid(t, r, with_error=True, modulus=True)
     exact = PR.RadialEvaluator(p).eval_grid(t, r, modulus=True)
     assert np.all(np.abs(abs2 - exact) <= err + 1e-12)
+
+
+def test_quadrature_path_rejects_a_2d_radial_grid():
+    ev = PR.RadialEvaluator(P.wave_profile(3, -1.0 + 0.4j, c=0.1), method="quadrature")
+    t = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="1-D r"):
+        ev.eval_grid(t, np.tile(np.linspace(0.0, 2.0, 4), (3, 1)))
+
+
+@pytest.mark.parametrize("modulus", [False, True])
+@pytest.mark.parametrize("name", ["wave3", "wave4", "wave5", "wave2", "schrodinger", "sum"])
+def test_closed_forms_on_2d_r_equal_the_1d_calls_row_by_row(name, modulus):
+    # Row i of a 2-D r is evaluated at time t[i]: the cone driver's graded rows.
+    fp, fm = P.canonical_energy_pair()
+    ev = {
+        "wave3": PR.RadialEvaluator(P.wave_profile(3, -1.0 + 0.4j, c=0.1)),
+        "wave4": PR.RadialEvaluator(P.wave_profile(4, -0.7 - 0.3j, c=0.2j, sign=-1)),
+        "wave5": PR.RadialEvaluator(P.wave_profile(5, -1.3, c=0.3 - 0.1j)),
+        "wave2": PR.RadialEvaluator(P.wave_profile(2, -0.9 + 0.2j)),
+        "schrodinger": PR.RadialEvaluator(P.schrodinger_profile(3, -1.0 + 0.3j, c=0.2j)),
+        "sum": FN.MappedEvaluator(np.add, PR.RadialEvaluator(fp), PR.RadialEvaluator(fm)),
+    }[name]
+    rng = np.random.default_rng(7)
+    t = rng.normal(scale=5.0, size=6)
+    r = np.abs(rng.normal(scale=4.0, size=(6, 9)))
+    got = ev.eval_grid(t, r, modulus=modulus)
+    assert got.shape == r.shape
+    for i in range(t.size):
+        assert np.array_equal(got[i], ev.eval_grid(t[i:i + 1], r[i], modulus=modulus)[0])

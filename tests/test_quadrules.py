@@ -1,5 +1,6 @@
-"""One source of Gauss-Legendre panels: the uniform panel rule, the cone
-and rung rules scaled from it, and no leggauss outside quadrules."""
+"""One source of Gauss-Legendre panels: the panel rule (row by row on
+batched edges), the uniform panel rule and the rung rules scaled from
+it, and no leggauss outside quadrules."""
 
 import re
 from pathlib import Path
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 import strichartz_lab
-from strichartz_lab import functionals as FN
 from strichartz_lab import propagators as PR
 from strichartz_lab.quadrules import leggauss, panel_nodes, uniform_panels
 
@@ -26,17 +26,30 @@ def test_uniform_panels_is_the_panel_rule_on_unit_edges(n_panels, n):
                                                         rel=1e-13)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_cone_core_and_rungs_are_scalings_of_the_uniform_panel_rule(d):
-    nodes, weights = uniform_panels(500, 8)
-    core, core_w = FN._unit_core(d, 500)
-    assert np.array_equal(core, nodes)
-    assert np.array_equal(core_w, weights * nodes ** (d - 1))
-    # A row reads the first m panels, so a short build is a bit-for-bit
-    # prefix of a long one: rows never depend on the largest row of a pass.
-    small, small_w = FN._unit_core(d, 7)
-    assert np.array_equal(small, core[:56]) and np.array_equal(small_w, core_w[:56])
+def test_batched_panel_nodes_equal_the_per_row_calls():
+    # The cone driver builds a chunk of graded rows in one call; each row
+    # must be the 1-D rule on its own edges, bit for bit, zero-width
+    # (clipped) panels included.
+    rng = np.random.default_rng(3)
+    edges = np.sort(np.clip(rng.normal(scale=4.0, size=(2, 5, 17)), -1.0, 6.0), axis=-1)
+    nodes, weights = panel_nodes(edges, 8)
+    assert nodes.shape == weights.shape == (2, 5, 16 * 8)
+    assert np.any(weights == 0.0)
+    for idx in np.ndindex(edges.shape[:-1]):
+        want_nodes, want_weights = panel_nodes(edges[idx], 8)
+        assert np.array_equal(nodes[idx], want_nodes)
+        assert np.array_equal(weights[idx], want_weights)
+    # 1-D edges give the flat rule of the rectangular driver, as before.
+    x, w = leggauss(8)
+    row = edges[0, 0]
+    half, mid = 0.5 * np.diff(row), 0.5 * (row[1:] + row[:-1])
+    flat_nodes, flat_weights = panel_nodes(row, 8)
+    assert np.array_equal(flat_nodes, (mid[:, None] + half[:, None] * x[None, :]).ravel())
+    assert np.array_equal(flat_weights, (half[:, None] * w[None, :]).ravel())
 
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rungs_are_scalings_of_the_uniform_panel_rule(d):
     R = 7.3 * d
     x, w = leggauss(12)
     for rung in (0, 1, 3):
