@@ -37,13 +37,20 @@ from .profiles import (
     ExtremalProfile,
     canonical_energy_pair,
     data_split,
-    lambda_amplitude,
     schrodinger_profile,
     sobolev_norm_sq,
     symmetry_apply,
     wave_profile,
 )
-from .propagators import Grid1D, RadialEvaluator, schro_fft_1d, schro_gaussian_eval, wave_eval
+from .propagators import (
+    Grid1D,
+    RadialEvaluator,
+    lambda_amplitude,
+    lambda_diagnostics,
+    schro_fft_1d,
+    schro_gaussian_eval,
+    wave_eval,
+)
 from .shells import i_weighted, itilde_closed, itilde_montecarlo, itilde_recursive, schro_shell
 from .functionals import (
     QuotientReport,

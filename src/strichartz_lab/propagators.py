@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .constants import WAVE, SCHRODINGER, sphere_area
+from .constants import WAVE, SCHRODINGER, log_sphere_area, sphere_area
 from .profiles import ExtremalProfile, checked_decay
 from .quadrules import QuadratureError, uniform_panels
 
@@ -364,6 +364,64 @@ def wave_center_value(p: ExtremalProfile, t: float) -> complex:
         / (2.0 * math.pi) ** d
         / z ** (d - 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# The amplitude Lambda_{a,b,c} and its uniqueness diagnostics
+
+
+def lambda_amplitude(p: ExtremalProfile, t: float, x) -> float:
+    """|u(t,x)| for a wave profile with imaginary tilt.
+
+    This is the amplitude whose argmax and center-line law determine
+    (a, b, Re c).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    r = float(np.linalg.norm(x - p.center))
+    return abs(wave_eval(p, t, r))
+
+
+def center_line_constant(d: int) -> float:
+    """C0 = Gamma(d-1) |S^{d-1}|: |u(t, center)| = C0 e^{Re c} / ((2pi)^d |Re a + i t~|^{d-1})."""
+    return math.exp(math.lgamma(d - 1) + log_sphere_area(d))
+
+
+def lambda_diagnostics(p: ExtremalProfile):
+    """Numeric uniqueness diagnostics of the amplitude.
+
+    Returns dict with the coarse-grid argmax over (t, x_axis), and the
+    polynomial fit of C0 exp(-Re c) / Lambda on the center line: for
+    d = 5 it is (Re(a)^2 + t~^2)^2, a monic quartic in shifted time with
+    constant term Re(a)^4.
+    """
+    if p.family != WAVE or p.d != 5:
+        raise ValueError("diagnostics implemented for d = 5 wave profiles")
+    t_star = -p.a.imag
+    t_grid = t_star + np.linspace(-2.0, 2.0, 41)
+    center = p.center
+    axis = np.zeros(p.d)
+    axis[0] = 1.0
+    x_offsets = np.linspace(-2.0, 2.0, 41)
+    # The point center + s * axis lies at distance |s| from the center.
+    ev = RadialEvaluator(p)
+    vals = np.abs(ev.eval_grid(t_grid, np.abs(x_offsets)))
+    it, ix = np.unravel_index(np.argmax(vals), vals.shape)
+    # Center-line polynomial: sample and fit degree 4 in shifted time.
+    # On the line, Lambda = C0 e^{Re c} / ((2pi)^d |Re a + i t~|^{d-1}), so
+    # C0 e^{Re c} / ((2pi)^d Lambda) is the monic quartic (Re a^2 + t~^2)^2.
+    ts = np.linspace(-1.5, 1.5, 9)
+    lam = np.abs(ev.eval_grid(t_star + ts, 0.0)[:, 0])
+    target = center_line_constant(p.d) * math.exp(p.c.real) / ((2.0 * math.pi) ** p.d) / lam
+    coeffs = np.polyfit(ts, target, 4)
+    return {
+        "argmax_t": float(t_grid[it]),
+        "argmax_x": center + x_offsets[ix] * axis,
+        "lead_coeff": float(coeffs[0]),
+        "const_term": float(coeffs[4]),
+        "expected_argmax_t": t_star,
+        "expected_argmax_x": center,
+        "expected_const_term": p.a.real ** 4,
+    }
 
 
 def schro_gaussian_eval(p: ExtremalProfile, t: float, x) -> complex:

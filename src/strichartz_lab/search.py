@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .constants import WAVE, SCHRODINGER
+from .constants import WAVE, SCHRODINGER, wave_onefn_constant
 from . import functionals as FN
 from .mc import chunk_generator
 from .profiles import symmetry_apply
@@ -113,7 +113,7 @@ def quotient_objective(d: int, k: int, family: str):
         if case == (5, 2, WAVE):
             lhs4 = FN.wave_bilinear_lhs_fiber(g, g, 5, sigma)
             E = FN.wave_radial_norm_sq(g, 5, 1.0, sigma)
-            return lhs4 ** 0.25 / ((FN.C.wave_onefn_constant(5) * E * E) ** 0.25)
+            return lhs4 ** 0.25 / ((wave_onefn_constant(5) * E * E) ** 0.25)
         # (3, 3, WAVE): sextic via the propagator route (slowest case).
         ev = RadialEvaluator(
             radial_fn=g, decay=sigma, amp_bound=profile.amp_bound(), d=3,
@@ -125,7 +125,7 @@ def quotient_objective(d: int, k: int, family: str):
         H = FN.wave_radial_norm_sq(g, 3, 0.5, sigma)
         E = FN.wave_radial_norm_sq(g, 3, 1.0, sigma)
         rhs = (H * E * E) ** (1.0 / 6.0)
-        return lhs / (FN.C.wave_onefn_constant(3) ** (1.0 / 6.0) * rhs)
+        return lhs / (wave_onefn_constant(3) ** (1.0 / 6.0) * rhs)
 
     return evaluate
 

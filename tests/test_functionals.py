@@ -629,3 +629,10 @@ def test_cone_lhs_scales_as_lambda_to_minus_d_plus_1(profs, lam):
     d = profs[0].d
     scaled = [P.symmetry_apply(P.Scaling(1.0, lam), p) for p in profs]
     assert lam ** (d + 1) * _cone_lhs(scaled) == pytest.approx(_cone_lhs(profs), rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(profs=_closed_form_tuples(), theta=st.floats(-math.pi, math.pi))
+def test_cone_lhs_is_invariant_under_phase(profs, theta):
+    rotated = [P.symmetry_apply(P.Phase(theta), p) for p in profs]
+    assert _cone_lhs(rotated) == pytest.approx(_cone_lhs(profs), rel=1e-12)

@@ -5,8 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strichartz_lab import geometry as G
+
+_COORD = st.floats(-10.0, 10.0)
 
 
 def test_minkowski_form_examples():
@@ -74,6 +77,28 @@ def test_boost_determinant_and_group_property():
             assert np.allclose(back.xi, p.xi, atol=1e-10)
 
 
+@st.composite
+def _boosted_points(draw):
+    """(v, p): |v| <= 0.95 and p any (tau, xi) in d = 2, 3 or 5."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    v = 0.95 * u / max(1.0, float(np.linalg.norm(u)))
+    return v, G.ConePoint(draw(_COORD), draw(st.lists(_COORD, min_size=d, max_size=d)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_boosted_points())
+def test_boost_keeps_the_minkowski_form_and_inverts(case):
+    v, p = case
+    q = G.lorentz_boost(v, p)
+    # rho = tau^2 - |xi|^2 cancels near the cone, so its rounding is
+    # measured against tau^2 + |xi|^2.
+    scale = max(1.0, p.tau ** 2 + float(np.dot(p.xi, p.xi)))
+    assert abs(G.minkowski_form(q) - G.minkowski_form(p)) <= 1e-10 * scale
+    back = G.lorentz_boost(-v, q)
+    assert abs(back.tau - p.tau) <= 1e-9 and np.max(np.abs(back.xi - p.xi)) <= 1e-9
+
+
 def test_boost_small_velocity_series_branch():
     # The (gamma-1)/|v|^2 block must pass smoothly through |v| ~ 1e-8:
     # the vv^T coefficient approaches 1/2 (+ 3|v|^2/8) rather than 0/0.
@@ -99,6 +124,14 @@ def test_galilean_examples_and_paraboloid():
         v = rng.normal(size=3)
         img = G.galilean_map(v, G.ConePoint(float(np.dot(xi, xi)), xi))
         assert img.tau == pytest.approx(float(np.dot(img.xi, img.xi)), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(xi=st.lists(_COORD, min_size=3, max_size=3), v=st.lists(_COORD, min_size=3, max_size=3))
+def test_galilean_map_keeps_the_paraboloid(xi, v):
+    xi = np.array(xi)
+    img = G.galilean_map(v, G.ConePoint(float(np.dot(xi, xi)), xi))
+    assert abs(img.tau - float(np.dot(img.xi, img.xi))) <= 1e-12 * (1.0 + img.tau)
 
 
 def test_wave_weight_examples():

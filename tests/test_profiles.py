@@ -1,5 +1,6 @@
 """Extremal profiles: norms, admissibility, splitting, symmetries."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from scipy import integrate
 
 import strichartz_lab
 from strichartz_lab import profiles as P
+from strichartz_lab import propagators as PR
 from strichartz_lab.constants import WAVE, SCHRODINGER, sphere_area
 
 
@@ -29,6 +31,19 @@ def test_decay_rule_is_written_only_in_profiles():
     owners = sorted(p.name for p in src.glob("*.py")
                     if "decay must be finite" in p.read_text())
     assert owners == ["profiles.py"]
+
+
+def test_no_module_imports_inside_a_function():
+    # Imports sit at module top, so the import graph is the one the
+    # module headers show: profiles does not reach back into propagators.
+    src = Path(strichartz_lab.__file__).parent
+    local = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                local |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(local) == []
 
 
 def test_admissibility_boundary():
@@ -245,10 +260,10 @@ def test_symmetry_schrodinger_galilean_action():
 
 def test_lambda_amplitude_and_diagnostics():
     p = P.wave_profile(5, -1.0)
-    val = P.lambda_amplitude(p, 0.0, np.zeros(5))
+    val = PR.lambda_amplitude(p, 0.0, np.zeros(5))
     want = 6 * sphere_area(5) / (2 * math.pi) ** 5
     assert val == pytest.approx(want, rel=1e-10)
-    diag = P.lambda_diagnostics(P.wave_profile(5, -1.2 + 0.6j, b=1j * np.array([0.4, 0, 0, 0, 0]), c=0.3))
+    diag = PR.lambda_diagnostics(P.wave_profile(5, -1.2 + 0.6j, b=1j * np.array([0.4, 0, 0, 0, 0]), c=0.3))
     assert diag["argmax_t"] == pytest.approx(diag["expected_argmax_t"], abs=0.11)
     assert np.allclose(diag["argmax_x"], diag["expected_argmax_x"], atol=0.11)
     assert diag["lead_coeff"] == pytest.approx(1.0, rel=1e-6)
@@ -258,8 +273,8 @@ def test_lambda_amplitude_and_diagnostics():
 def test_lambda_diagnostics_separate_profiles():
     # The diagnostic triple (argmax, lead coeff, const term) distinguishes
     # two random admissible profiles with different (a, b, Re c).
-    d1 = P.lambda_diagnostics(P.wave_profile(5, -1.0 + 0.5j, c=0.2))
-    d2 = P.lambda_diagnostics(P.wave_profile(5, -1.5 - 0.4j, b=1j * np.array([0.8, 0, 0, 0, 0]), c=-0.3))
+    d1 = PR.lambda_diagnostics(P.wave_profile(5, -1.0 + 0.5j, c=0.2))
+    d2 = PR.lambda_diagnostics(P.wave_profile(5, -1.5 - 0.4j, b=1j * np.array([0.8, 0, 0, 0, 0]), c=-0.3))
     assert abs(d1["argmax_t"] - d2["argmax_t"]) > 0.2
     assert abs(d1["const_term"] - d2["const_term"]) > 1e-2
 

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from strichartz_lab import mc as MC
@@ -145,27 +146,35 @@ def test_montecarlo_matches_closed_form():
         assert mc.stderr < 0.15 * closed
 
 
-def test_montecarlo_reproducible_and_partition_independent(monkeypatch):
+def test_montecarlo_reproducible_and_partition_independent():
     p = pt(1.0, 0.0, 0.0, 0.0)
     a = S.itilde_montecarlo(3, 2, p, n_samples=10 ** 5, seed=9)
     b = S.itilde_montecarlo(3, 2, p, n_samples=10 ** 5, seed=9)
     assert a.value == b.value and a.stderr == b.stderr
-    monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "3")
-    c = S.itilde_montecarlo(3, 2, p, n_samples=10 ** 5, seed=9)
-    assert c.value == a.value and c.stderr == a.stderr
     d = S.itilde_montecarlo(3, 2, p, n_samples=10 ** 5, seed=10)
     assert d.value != a.value
 
 
-def test_montecarlo_thread_pool_matches_serial(monkeypatch):
-    # Four chunks, so the thread pool of mc_mean really runs.
-    p = pt(1.0, 0.0, 0.0, 0.0)
-    n = 3 * MC.CHUNK + 1000
-    monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "1")
-    serial = S.itilde_montecarlo(3, 2, p, n_samples=n, seed=9)
-    monkeypatch.setenv("STRICHARTZ_LAB_THREADS", "3")
-    threaded = S.itilde_montecarlo(3, 2, p, n_samples=n, seed=9)
-    assert threaded.value == serial.value and threaded.stderr == serial.stderr
+# n in [2, 3*CHUNK + 5], drawn as a chunk count first so that every count
+# from 1 to 4 is tried, not only the small n Hypothesis favours.
+_MC_SIZES = st.integers(0, 3).flatmap(
+    lambda k: st.integers(max(2, k * MC.CHUNK + 1), min((k + 1) * MC.CHUNK, 3 * MC.CHUNK + 5))
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=_MC_SIZES, seed=st.integers(-(2 ** 63), 2 ** 64 - 1))
+def test_montecarlo_mean_is_the_concatenated_chunk_streams(n, seed):
+    # Chunk i draws min(CHUNK, n - i*CHUNK) heavy-tailed weights from
+    # stream i; the chunk sums round on their own, hence not equality.
+    def pareto(rng, m):
+        return rng.pareto(2.5, m)
+
+    est = MC.mc_mean(pareto, n, seed)
+    w = np.concatenate([pareto(MC.chunk_generator(seed, i), min(MC.CHUNK, n - i * MC.CHUNK))
+                        for i in range(-(-n // MC.CHUNK))])
+    assert est.mean == pytest.approx(math.fsum(w) / n, rel=1e-14)
+    assert est.stderr == pytest.approx(np.std(w) / math.sqrt(n), rel=1e-12)
 
 
 def test_montecarlo_lorentz_invariance():
