@@ -20,7 +20,7 @@ import numpy as np
 from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
-from .mc import McEstimate, chunk_generator, mc_mean
+from .mc import McEstimate, chunk_generator, mc_mean, unit_directions
 from .profiles import ExtremalProfile, checked_decay, sobolev_norm_sq, wave_profile
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
 from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
@@ -403,9 +403,7 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
 
         def sample_weights(rng, m):
             radii = rng.gamma(shape=d - 1, scale=1.0, size=(m, k)) / rates[None, :]
-            dirs = rng.normal(size=(m, k, d))
-            dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-            eta = radii[:, :, None] * dirs
+            eta = radii[:, :, None] * unit_directions(rng, m, k, d)
             # exponent 2 Re(b_j).eta_j - 2 |Re b_j| r_j <= 0
             expo = 2.0 * (np.einsum("jd,mjd->m", bvecs, eta) - np.einsum("j,mj->m", tilts, radii))
             w = np.exp(expo + log_const)

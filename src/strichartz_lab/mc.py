@@ -13,11 +13,14 @@ noise of E[w^2] - E[w]^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 CHUNK = 1 << 17  # samples per Philox stream
+ROW_BLOCK = 1 << 14  # samples a sampler processes at once
+ORDERED_TERMS = 8  # numpy adds a row of fewer terms in index order
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,8 @@ def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
     The callable must be a pure function of the generator state; chunk i
     holds min(CHUNK, n - i*CHUNK) samples from `chunk_generator(seed, i)`.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need a whole number of samples >= 1, got {n!r}")
     totals, count, run_mean, m2 = [], 0, 0.0, 0.0
     for idx in range(-(-n // CHUNK)):
         m = min(CHUNK, n - count)
@@ -58,3 +61,43 @@ def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
         del w, dev  # free this chunk before the next one is drawn
     stderr = math.sqrt(m2 / n / n) if n > 1 else float("inf")
     return McEstimate(mean=math.fsum(totals) / n, stderr=stderr)
+
+
+def row_blocks(m: int) -> list:
+    """Slices of at most ROW_BLOCK consecutive rows that cover range(m)."""
+    return [slice(lo, lo + ROW_BLOCK) for lo in range(0, m, ROW_BLOCK)]
+
+
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1), bit for bit, from the columns of a."""
+    if a.shape[-1] >= ORDERED_TERMS:
+        return a.sum(axis=-1)
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=-1) of a real array, bit for bit, from its columns."""
+    if a.shape[-1] >= ORDERED_TERMS:
+        return np.linalg.norm(a, axis=-1)
+    sq = a[..., 0] * a[..., 0]
+    for c in range(1, a.shape[-1]):
+        sq += a[..., c] * a[..., c]
+    return np.sqrt(sq, out=sq)
+
+
+def unit_directions(rng: np.random.Generator, m: int, k: int, d: int) -> np.ndarray:
+    """m samples of k independent uniform directions on S^{d-1}, shape (m, k, d).
+
+    One normal draw of shape (m, k, d), each d-vector scaled to unit length.
+    """
+    dirs = rng.normal(size=(m, k, d))
+    for rows in row_blocks(m):
+        for j in range(k):
+            u = dirs[rows, j]
+            length = row_norm(u)
+            for c in range(d):
+                u[:, c] /= length
+    return dirs

@@ -30,7 +30,7 @@ from .constants import (
     sphere_area,
 )
 from .geometry import ConePoint, minkowski_form
-from .mc import mc_mean
+from .mc import mc_mean, row_blocks, row_norm, row_sum, unit_directions
 from .quadrules import QuadratureError
 
 CLOSED_FORM = "closed_form"
@@ -171,8 +171,8 @@ def itilde_montecarlo(
     and the rate centers sum |eta_j| on the shell at tau.
     """
     _require_interior(p)
-    if epsilon <= 0:
-        raise ValueError("need a positive smoothing width")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"need a finite positive smoothing width, got {epsilon!r}")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("need n_samples >= 1e4")
     tau, xi = p.tau, np.asarray(p.xi, dtype=float)
@@ -184,22 +184,32 @@ def itilde_montecarlo(
         math.log(area) + math.lgamma(d - 1) - (d - 1) * math.log(rate)
     )
 
-    def sample_weights(rng, m):
-        radii = rng.gamma(shape=d - 1, scale=1.0 / rate, size=(m, k - 1))
-        dirs = rng.normal(size=(m, k - 1, d))
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        eta = radii[:, :, None] * dirs
-        eta_k = xi[None, :] - eta.sum(axis=1)
-        nk = np.linalg.norm(eta_k, axis=1)
-        s = tau - radii.sum(axis=1) - nk
+    def block_weights(radii, dirs):
+        # eta_k = xi - sum_j r_j u_j, one coordinate column at a time; the
+        # terms are added in index order, as numpy's sum over the j axis does
+        eta_k = np.empty((len(radii), d))
+        for c in range(d):
+            col = radii[:, 0] * dirs[:, 0, c]
+            for j in range(1, k - 1):
+                col += radii[:, j] * dirs[:, j, c]
+            eta_k[:, c] = xi[c] - col
+        nk = row_norm(eta_k)
+        total = row_sum(radii)
+        s = tau - total - nk
+        positive = nk > 0.0
         log_w = np.where(
-            nk > 0.0,
-            rate * radii.sum(axis=1) - np.log(np.where(nk > 0.0, nk, 1.0)) + log_const,
+            positive,
+            rate * total - np.log(np.where(positive, nk, 1.0)) + log_const,
             -np.inf,
         )
         gauss = -0.5 * (s / epsilon) ** 2
         w = np.exp(log_w + gauss) * norm
         return np.where(np.isfinite(w), w, 0.0)
+
+    def sample_weights(rng, m):
+        radii = rng.gamma(shape=d - 1, scale=1.0 / rate, size=(m, k - 1))
+        dirs = unit_directions(rng, m, k - 1, d)
+        return np.concatenate([block_weights(radii[rows], dirs[rows]) for rows in row_blocks(m)])
 
     est = mc_mean(sample_weights, n_samples, seed)
     return ShellResult(est.mean, MONTE_CARLO, est.stderr)

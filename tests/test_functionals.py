@@ -10,6 +10,7 @@ from scipy import integrate
 
 from strichartz_lab import constants as C
 from strichartz_lab import functionals as FN
+from strichartz_lab import mc as MC
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import SCHRODINGER, WAVE, sphere_area
@@ -248,6 +249,64 @@ def test_multilinear_rhs_tilt_and_divergence():
         FN.multilinear_rhs([P.wave_profile(3, -1.0)], n_samples=10 ** 4)
     with pytest.raises(ValueError):
         FN.multilinear_rhs([P.wave_profile(3, -1.0), P.wave_profile(2, -1.0)])
+
+
+# test-only reference: the direction draw before it worked on columns.
+def _reference_unit_directions(rng, m, k, d):
+    dirs = rng.normal(size=(m, k, d))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    return dirs
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 9])
+def test_multilinear_rhs_directions_are_bit_identical_to_the_reference(d, monkeypatch):
+    b = np.zeros(d)
+    b[0] = 0.4
+    profs = [P.wave_profile(d, -1.0, b=b), P.wave_profile(d, complex(-1.3, 0.2), c=0.1j),
+             P.wave_profile(d, -0.8)]
+    runs = [(profs[:2], 10 ** 4), (profs, 10 ** 4)]
+    if d == 5:  # two chunks, the second of 5 samples
+        runs.append((profs[:2], MC.CHUNK + 5))
+    for tup, n in runs:
+        got = FN.multilinear_rhs(tup, n_samples=n, seed=d)
+        with monkeypatch.context() as mp:
+            mp.setattr(FN, "unit_directions", _reference_unit_directions)
+            want = FN.multilinear_rhs(tup, n_samples=n, seed=d)
+        assert (got.mean, got.stderr) == (want.mean, want.stderr), (len(tup), n)
+
+
+def _radial_pair_rhs(p1, p2):
+    """Exact wave RHS of a k = 2 tuple with Re b = 0: K^2 = r1 r2 (1 - u), so
+
+        RHS = |S^{d-1}| |S^{d-2}| B_d(alpha)
+              prod_j e^{2 Re c_j} Gamma(d - 1 + alpha) / (2 sigma_j)^{d-1+alpha},
+
+    with alpha = alpha(d, 2) and the Beta integral
+    B_d(alpha) = int_{-1}^{1} (1 - u)^alpha (1 - u^2)^{(d-3)/2} du
+               = 2^{alpha+d-2} B((d-1)/2, alpha + (d-1)/2)."""
+    d = p1.d
+    alpha = float(C.alpha_exponent(d, 2))
+    h = 0.5 * (d - 1)
+    log_b = (alpha + d - 2) * math.log(2.0) + C.log_beta_fn(h, alpha + h)
+    log_rhs = C.log_sphere_area(d) + C.log_sphere_area(d - 1) + log_b + sum(
+        2.0 * p.c.real + math.lgamma(d - 1 + alpha) - (d - 1 + alpha) * math.log(2.0 * p.decay)
+        for p in (p1, p2)
+    )
+    return math.exp(log_rhs)
+
+
+@pytest.mark.parametrize("d, seed", [(3, 31), (4, 41), (5, 51)])
+def test_multilinear_rhs_matches_the_radial_pair_closed_form(d, seed):
+    # Radial pairs (Re b = 0) with unequal decays, phases and translations.
+    b = np.zeros(d, dtype=complex)
+    b[0] = 0.7j
+    pair = [P.wave_profile(d, complex(-1.0, 0.3), b=b, c=complex(0.2, 1.0)),
+            P.wave_profile(d, -0.6, c=-0.1)]
+    est = FN.multilinear_rhs(pair, n_samples=2 * 10 ** 5, seed=seed)
+    exact = _radial_pair_rhs(*pair)
+    # alpha(3, 2) = 0: the weights are constant and the stderr is rounding
+    # noise, so the band carries the rounding of the closed form too.
+    assert abs(est.mean - exact) <= 3.0 * est.stderr + 1e-12 * exact
 
 
 def test_multilinear_rhs_schrodinger_closed_form():

@@ -1,7 +1,6 @@
 """Shell convolutions: closed form, recursion, Monte Carlo, paraboloid."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -204,6 +203,89 @@ def test_montecarlo_validation():
         S.itilde_montecarlo(2, 2, p, n_samples=100)
     with pytest.raises(ValueError):
         S.itilde_montecarlo(2, 2, pt(0.5, 1.0, 0.0))
+    # A non-finite width once gave 0.0 +- 0.0 (closed form 2 pi at (3, 2)).
+    for epsilon in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            S.itilde_montecarlo(3, 2, pt(1.0, 0.0, 0.0, 0.0), epsilon=epsilon, n_samples=10 ** 4)
+    # A NaN or fractional sample count once got past the >= 1e4 guard.
+    for n_samples in (math.nan, 1.5e4, 1e6):
+        with pytest.raises(ValueError):
+            S.itilde_montecarlo(2, 2, p, n_samples=n_samples)
+
+
+# test-only reference: the sampler as it reduced over the short k and d
+# axes with numpy, before it worked on sample-length columns.
+def _reference_shell_weights(d, k, p, epsilon):
+    tau, xi = p.tau, np.asarray(p.xi, dtype=float)
+    rate = k * (d - 1) / tau
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * epsilon)
+    log_const = (k - 1) * (
+        math.log(sphere_area(d)) + math.lgamma(d - 1) - (d - 1) * math.log(rate)
+    )
+
+    def sample_weights(rng, m):
+        radii = rng.gamma(shape=d - 1, scale=1.0 / rate, size=(m, k - 1))
+        dirs = rng.normal(size=(m, k - 1, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        eta = radii[:, :, None] * dirs
+        eta_k = xi[None, :] - eta.sum(axis=1)
+        nk = np.linalg.norm(eta_k, axis=1)
+        s = tau - radii.sum(axis=1) - nk
+        log_w = np.where(
+            nk > 0.0,
+            rate * radii.sum(axis=1) - np.log(np.where(nk > 0.0, nk, 1.0)) + log_const,
+            -np.inf,
+        )
+        gauss = -0.5 * (s / epsilon) ** 2
+        w = np.exp(log_w + gauss) * norm
+        return np.where(np.isfinite(w), w, 0.0)
+
+    return sample_weights
+
+
+def _off_axis_point(d, tau=1.3):
+    xi = np.zeros(d)
+    xi[0], xi[-1] = 0.3, xi[-1] - 0.2
+    return ConePoint(tau, xi)
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_montecarlo_columns_are_bit_identical_to_the_axis_reductions(d):
+    # d >= 8 and k - 1 >= 8 take numpy's pairwise reductions, fewer terms
+    # the columns in index order; both must give the reference's bits.
+    p = _off_axis_point(d)
+    for k in range(2, 11):
+        got = S.itilde_montecarlo(d, k, p, n_samples=10 ** 4, seed=100 * d + k)
+        want = MC.mc_mean(_reference_shell_weights(d, k, p, 1e-3), 10 ** 4, 100 * d + k)
+        assert (got.value, got.stderr) == (want.mean, want.stderr), (d, k)
+
+
+@pytest.mark.parametrize("d, k", [(3, 4), (8, 9)])
+def test_montecarlo_columns_are_bit_identical_over_chunks_and_blocks(d, k):
+    # Two chunks, the second of 5 samples, and many row blocks per chunk.
+    n, p = MC.CHUNK + 5, _off_axis_point(d)
+    got = S.itilde_montecarlo(d, k, p, n_samples=n, seed=-3)
+    want = MC.mc_mean(_reference_shell_weights(d, k, p, 1e-3), n, -3)
+    assert (got.value, got.stderr) == (want.mean, want.stderr)
+
+
+@pytest.mark.parametrize("m", [1, 5, 1000])
+@pytest.mark.parametrize("terms", range(1, 13))
+def test_row_sum_and_row_norm_are_numpys_reductions(m, terms):
+    rng = np.random.default_rng(terms * 1000 + m)
+    a = rng.standard_cauchy((m, terms)) * 10.0 ** rng.integers(-8, 9, (m, terms))
+    assert np.array_equal(MC.row_sum(a), a.sum(axis=-1))
+    assert np.array_equal(MC.row_norm(a), np.linalg.norm(a, axis=-1))
+    block = rng.normal(size=(m, 3, terms))[:, 1]  # a strided (m, terms) view
+    assert np.array_equal(MC.row_norm(block), np.linalg.norm(block, axis=-1))
+
+
+def test_unit_directions_are_unit_vectors_of_one_normal_draw():
+    m, k, d = MC.ROW_BLOCK + 7, 3, 4
+    dirs = MC.unit_directions(MC.chunk_generator(5, 0), m, k, d)
+    z = MC.chunk_generator(5, 0).normal(size=(m, k, d))
+    assert dirs.shape == (m, k, d)
+    assert np.array_equal(dirs, z / np.linalg.norm(z, axis=2, keepdims=True))
 
 
 def test_shell_result_invariants():
