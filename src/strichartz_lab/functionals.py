@@ -195,12 +195,14 @@ def _cone_pass(F, d, win: Window, level: int, ridge_width: float, peaks):
     1 + q + q^2, ...), w = ridge_width (the geometric hp mesh: panels of
     the ridge width at the ridge, growing by q away from it), clipped to
     [0, 6 reach(t)] together with both endpoints, where reach(t) covers
-    the farthest ridge plus 12 w.  The offsets reach 6 reach on every
-    row, so every row has the same panel count (clipped panels have zero
-    width and weight) and a pass is one (n_t, n_r) array, evaluated in
-    chunks of rows of at most _CONE_CHUNK entries, one F call each.
-    q = 2 at level 0 and sqrt(2) after, so the radial mesh refines once
-    and later levels refine the time panels only.
+    the farthest ridge plus 12 w.  The offsets reach the largest 6 reach
+    of the pass, so every row has the same edge count, and clipped edges
+    sort to 0 and 6 reach(t) as panels of zero width and weight.  A pass
+    runs in chunks of rows of at most _CONE_CHUNK entries, one F call
+    each; a chunk drops the leading and trailing panel columns that have
+    zero width on every one of its rows, so F sees only panels that can
+    carry weight.  q = 2 at level 0 and sqrt(2) after, so the radial mesh
+    refines once and later levels refine the time panels only.
     """
     t, wt = panel_nodes(_t_edges(win, level), _PANEL_ORDER)
     span = 6.0 * (np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width)
@@ -216,7 +218,10 @@ def _cone_pass(F, d, win: Window, level: int, ridge_width: float, peaks):
         ti, hi = t[i:i + rows], span[i:i + rows, None]
         ridges = (np.abs(ti[:, None] - peaks)[:, :, None] + offsets).reshape(ti.size, -1)
         edges = np.concatenate([np.zeros_like(hi), np.clip(ridges, 0.0, hi), hi], axis=1)
-        r, wr = panel_nodes(np.sort(edges, axis=1), _PANEL_ORDER)
+        edges.sort(axis=1)
+        live = np.flatnonzero(np.any(edges[:, 1:] > 0.0, axis=0)
+                              & np.any(edges[:, :-1] < hi, axis=0))
+        r, wr = panel_nodes(edges[:, live[0]:live[-1] + 2], _PANEL_ORDER)
         wr *= r ** (d - 1)
         total += np.dot(wt[i:i + rows], np.sum(F(ti, r) * wr, axis=1))
     return sphere_area(d) * total
@@ -432,6 +437,29 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
             return w
 
     return mc_mean(sample_weights, n_samples, seed)
+
+
+def radial_pair_rhs(p1: ExtremalProfile, p2: ExtremalProfile) -> float:
+    """Exact wave RHS of a k = 2 tuple with Re b = 0: K^2 = r1 r2 (1 - u), so
+
+        RHS = |S^{d-1}| |S^{d-2}| B_d(alpha)
+              prod_j e^{2 Re c_j} Gamma(d - 1 + alpha) / (2 sigma_j)^{d-1+alpha},
+
+    with alpha = alpha(d, 2) and the Beta integral
+    B_d(alpha) = int_{-1}^{1} (1 - u)^alpha (1 - u^2)^{(d-3)/2} du
+               = 2^{alpha+d-2} B((d-1)/2, alpha + (d-1)/2),
+    finite for d >= 3.  The oracle of multilinear_rhs on such pairs."""
+    d = p1.d
+    if any(p.family != WAVE or p.d != d or np.any(p.b.real) for p in (p1, p2)):
+        raise ValueError("the closed form needs two wave profiles of one d with Re b = 0")
+    alpha = float(C.alpha_exponent(d, 2))
+    h = 0.5 * (d - 1)
+    log_b = (alpha + d - 2) * math.log(2.0) + C.log_beta_fn(h, alpha + h)
+    log_rhs = C.log_sphere_area(d) + C.log_sphere_area(d - 1) + log_b + sum(
+        2.0 * p.c.real + math.lgamma(d - 1 + alpha) - (d - 1 + alpha) * math.log(2.0 * p.decay)
+        for p in (p1, p2)
+    )
+    return math.exp(log_rhs)
 
 
 def multilinear_quotient(profiles, n_samples: int, seed: int, **kw) -> QuotientReport:

@@ -194,6 +194,16 @@ def test_negative_seed_runs(argv):
     assert run(argv) in (0, 1)
 
 
+def test_bilinear_extremal_holds_the_rhs_to_its_closed_form(monkeypatch):
+    # d = 3 (alpha = 0): the Monte Carlo RHS equals the closed form to
+    # rounding, so a closed form off by 1% fails the extremal case.
+    argv = ["bilinear", "--d", "3", "--random-cases", "0", "--samples", "1000"]
+    assert run(argv) == 0
+    exact = cli.FN.radial_pair_rhs
+    monkeypatch.setattr(cli.FN, "radial_pair_rhs", lambda *ps: 1.01 * exact(*ps))
+    assert run(argv) == 1
+
+
 def test_schrodinger_identity_suite():
     assert run(["schrodinger-identity", "--grid", "2048"]) == 0
 

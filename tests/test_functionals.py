@@ -14,6 +14,7 @@ from strichartz_lab import mc as MC
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import SCHRODINGER, WAVE, sphere_area
+from strichartz_lab.functionals import radial_pair_rhs
 from strichartz_lab.quadrules import angular_nodes, gauss_nodes, panel_nodes
 from strichartz_lab.search import AnsatzProfile
 
@@ -275,26 +276,6 @@ def test_multilinear_rhs_directions_are_bit_identical_to_the_reference(d, monkey
         assert (got.mean, got.stderr) == (want.mean, want.stderr), (len(tup), n)
 
 
-def _radial_pair_rhs(p1, p2):
-    """Exact wave RHS of a k = 2 tuple with Re b = 0: K^2 = r1 r2 (1 - u), so
-
-        RHS = |S^{d-1}| |S^{d-2}| B_d(alpha)
-              prod_j e^{2 Re c_j} Gamma(d - 1 + alpha) / (2 sigma_j)^{d-1+alpha},
-
-    with alpha = alpha(d, 2) and the Beta integral
-    B_d(alpha) = int_{-1}^{1} (1 - u)^alpha (1 - u^2)^{(d-3)/2} du
-               = 2^{alpha+d-2} B((d-1)/2, alpha + (d-1)/2)."""
-    d = p1.d
-    alpha = float(C.alpha_exponent(d, 2))
-    h = 0.5 * (d - 1)
-    log_b = (alpha + d - 2) * math.log(2.0) + C.log_beta_fn(h, alpha + h)
-    log_rhs = C.log_sphere_area(d) + C.log_sphere_area(d - 1) + log_b + sum(
-        2.0 * p.c.real + math.lgamma(d - 1 + alpha) - (d - 1 + alpha) * math.log(2.0 * p.decay)
-        for p in (p1, p2)
-    )
-    return math.exp(log_rhs)
-
-
 @pytest.mark.parametrize("d, seed", [(3, 31), (4, 41), (5, 51)])
 def test_multilinear_rhs_matches_the_radial_pair_closed_form(d, seed):
     # Radial pairs (Re b = 0) with unequal decays, phases and translations.
@@ -303,10 +284,21 @@ def test_multilinear_rhs_matches_the_radial_pair_closed_form(d, seed):
     pair = [P.wave_profile(d, complex(-1.0, 0.3), b=b, c=complex(0.2, 1.0)),
             P.wave_profile(d, -0.6, c=-0.1)]
     est = FN.multilinear_rhs(pair, n_samples=2 * 10 ** 5, seed=seed)
-    exact = _radial_pair_rhs(*pair)
+    exact = radial_pair_rhs(*pair)
     # alpha(3, 2) = 0: the weights are constant and the stderr is rounding
     # noise, so the band carries the rounding of the closed form too.
     assert abs(est.mean - exact) <= 3.0 * est.stderr + 1e-12 * exact
+
+
+def test_radial_pair_rhs_rejects_tuples_it_does_not_cover():
+    b = np.zeros(4)
+    b[0] = 0.3
+    for pair in ([P.wave_profile(4, -1.0, b=b), P.wave_profile(4, -1.0)],
+                 [P.schrodinger_profile(4, -1.0)] * 2,
+                 [P.wave_profile(3, -1.0), P.wave_profile(4, -1.0)],
+                 [P.wave_profile(2, -1.0)] * 2):  # d = 2: the Beta integral diverges
+        with pytest.raises(ValueError):
+            radial_pair_rhs(*pair)
 
 
 def test_multilinear_rhs_schrodinger_closed_form():
@@ -588,7 +580,9 @@ def _graded_row(ti, peaks, span, n, level, ridge_width):
                                                 (123.4, 0.05), (1000.0, 0.1)])
 def test_cone_row_templates_match_the_per_row_build(d, level, reach, ridge_width):
     # A pass shifts one offset template w (0, 1, 1 + q, ...) to every ridge
-    # of every row of a chunk at once; each row must be its own build.
+    # of every row of a chunk at once; each row must be its own build, less
+    # the leading and trailing panel columns of zero width on every row of
+    # its chunk.
     win = FN.Window(0.0, reach, 3.0 * reach, 2.0 * reach, 4.0 * reach, spread=0.25 * reach)
     peaks = [-0.25 * reach, 0.25 * reach, 0.25 * reach]  # two distinct ridges
     calls = []
@@ -602,20 +596,78 @@ def test_cone_row_templates_match_the_per_row_build(d, level, reach, ridge_width
     assert np.array_equal(np.concatenate([c[0] for c in calls]), t)
     assert all(r.size <= FN._CONE_CHUNK for _, r in calls)
     span = 6.0 * (np.abs(t) + win.spread + 12.0 * ridge_width)
-    rows = np.concatenate([c[1] for c in calls])
-    n = (rows.shape[1] // 8 - 3) // 4  # 2 ridges of 2n + 1 edges, plus both ends
-    assert rows.shape == (t.size, 8 * (4 * n + 3))
     q = 2.0 if level == 0 else math.sqrt(2.0)
-    # The offsets just reach the largest span, so no row needs more.
-    assert ridge_width * (q ** n - 1) / (q - 1) >= span.max() * (1 - 1e-12)
+    # The offsets just reach the largest span: n is the fewest steps that
+    # do, and the chunks hold as many rows of 2 (2n + 1) + 2 edges as fit.
+    n = 1
+    while ridge_width * (q ** n - 1) / (q - 1) < span.max() * (1 - 1e-12):
+        n += 1
     assert ridge_width * (q ** (n - 1) - 1) / (q - 1) < span.max()
-    for i in range(0, t.size, max(1, t.size // 60)):  # 60 rows across the pass
-        want, _ = _graded_row(t[i], peaks, span[i], n, level, ridge_width)
-        np.testing.assert_allclose(rows[i], want, rtol=0.0,
-                                   atol=16 * np.finfo(float).eps * span[i])
+    rows = max(1, FN._CONE_CHUNK // (8 * (4 * n + 3)))
+    assert [c[0].size for c in calls[:-1]] == [rows] * (len(calls) - 1)
+    assert 0 < calls[-1][0].size <= rows
+    start = 0
+    for ti, got in calls:
+        chunk = slice(start, start + ti.size)
+        start += ti.size
+        built = [_graded_row(tj, peaks, sj, n, level, ridge_width)
+                 for tj, sj in zip(ti, span[chunk])]
+        want = np.array([r for r, _ in built])
+        width = np.array([w for _, w in built]).reshape(ti.size, 4 * n + 3, 8).sum(axis=2)
+        live = np.flatnonzero(np.any(width > 0.0, axis=0))
+        want = want[:, 8 * live[0]:8 * (live[-1] + 1)]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * span[chunk, None])
+        # The chunk's first and last panel columns have width on some row.
+        assert np.any(got[:, 0] != got[:, 7]) and np.any(got[:, -8] != got[:, -1])
     # Weights: r^(d-1) is integrated exactly on every row, clipped panels add 0.
     exact = sphere_area(d) * np.dot(wt, span ** d / d)
     assert total == pytest.approx(exact, rel=1e-13)
+
+
+def _untrimmed_cone_pass(F, d, win, level, ridge_width, peaks):
+    """The cone pass before chunks dropped their zero-width panel columns:
+    every row keeps all 2 (2n + 1) + 2 edges of every distinct ridge."""
+    t, wt = panel_nodes(FN._t_edges(win, level), 8)
+    span = 6.0 * (np.abs(t - win.t_center) + win.spread + 12.0 * ridge_width)
+    q = 2.0 if level == 0 else math.sqrt(2.0)
+    n = math.ceil(math.log1p((q - 1.0) * span.max() / ridge_width) / math.log(q))
+    steps = ridge_width * np.cumsum(q ** np.arange(n))
+    offsets = np.concatenate([-steps[::-1], [0.0], steps])
+    peaks = np.unique(peaks)
+    rows = max(1, FN._CONE_CHUNK // ((peaks.size * offsets.size + 1) * 8))
+    total = 0.0
+    for i in range(0, t.size, rows):
+        ti, hi = t[i:i + rows], span[i:i + rows, None]
+        ridges = (np.abs(ti[:, None] - peaks)[:, :, None] + offsets).reshape(ti.size, -1)
+        edges = np.concatenate([np.zeros_like(hi), np.clip(ridges, 0.0, hi), hi], axis=1)
+        r, wr = panel_nodes(np.sort(edges, axis=1), 8)
+        wr *= r ** (d - 1)
+        total += np.dot(wt[i:i + rows], np.sum(F(ti, r) * wr, axis=1))
+    return sphere_area(d) * total
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_cone_pass_matches_the_untrimmed_pass(d, level):
+    # Dropping the zero-width panel columns drops only zero terms, so the
+    # trimmed pass keeps the untrimmed one's value to rounding.
+    rng = np.random.default_rng(70 + 10 * d + level)
+    for k in (2, 3):
+        evs = [
+            PR.RadialEvaluator(P.wave_profile(
+                d, complex(-math.exp(0.4 * rng.normal()), 0.5 * rng.normal()),
+                c=complex(0.3 * rng.normal(), math.pi * rng.random()),
+                sign=int(rng.choice([1, -1]))))
+            for _ in range(k)
+        ]
+        win = FN.default_window(evs, tail_factor=3.0, core=6.0)
+        F = FN.product_field(evs, modulus=True)
+        ridge_width = 0.5 * min(ev.decay for ev in evs)
+        peaks = [t for ev in evs for t in ev.t_peaks]
+        got = FN._cone_pass(F, d, win, level, ridge_width, peaks)
+        want = _untrimmed_cone_pass(F, d, win, level, ridge_width, peaks)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -657,8 +709,10 @@ def test_cone_pass_matches_the_per_row_reference(d, monkeypatch):
 # relative to the peaks and the decay scale, so the symmetries hold to
 # rounding, not only to the quadrature tolerance.
 @st.composite
-def _closed_form_tuples(draw):
-    d, k = draw(st.sampled_from([(3, 2), (5, 2), (4, 2), (2, 3)]))
+def _closed_form_tuples(draw, pairs=False):
+    # Pairs skip d = 2, whose k = 2 right-hand side diverges.
+    strata = [(3, 2), (5, 2), (4, 2)] + ([] if pairs else [(2, 3)])
+    d, k = draw(st.sampled_from(strata))
     unit = st.floats(-1.0, 1.0)
     return [
         P.wave_profile(d, complex(-math.exp(0.4 * draw(unit)), 0.5 * draw(unit)),
@@ -695,3 +749,23 @@ def test_cone_lhs_scales_as_lambda_to_minus_d_plus_1(profs, lam):
 def test_cone_lhs_is_invariant_under_phase(profs, theta):
     rotated = [P.symmetry_apply(P.Phase(theta), p) for p in profs]
     assert _cone_lhs(rotated) == pytest.approx(_cone_lhs(profs), rel=1e-12)
+
+
+def _quotient(profs):
+    evs = [PR.RadialEvaluator(p) for p in profs]
+    return FN.multilinear_quotient(profs, 2000, 7, mode="cone",
+                                   window=FN.default_window(evs, tail_factor=3.0, core=6.0))
+
+
+# The whole k = 2 quotient, LHS over the Monte Carlo RHS: translations and
+# phases leave |fhat_j|^2, so the RHS keeps its bits, and the LHS grids move
+# with the peaks, so the ratio holds to rounding.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(profs=_closed_form_tuples(pairs=True), t0=st.floats(-3.0, 3.0),
+       theta=st.floats(-math.pi, math.pi))
+def test_quotient_is_invariant_under_translation_and_phase(profs, t0, theta):
+    base = _quotient(profs)
+    for g in (P.Translate(t0), P.Phase(theta)):
+        moved = _quotient([P.symmetry_apply(g, p) for p in profs])
+        assert (moved.rhs, moved.rhs_err) == (base.rhs, base.rhs_err)
+        assert moved.ratio == pytest.approx(base.ratio, rel=1e-12)
