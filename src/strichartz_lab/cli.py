@@ -145,12 +145,15 @@ def suite_shells(args, checked):
 
 def _check_bilinear(args):
     """(d, k) of the bilinear suite; ValueError unless the flags name a
-    k-linear wave estimate with a finite Monte Carlo error bar."""
+    k-linear wave estimate with a finite right-hand side and a finite
+    Monte Carlo error bar."""
     d, k = _flag(args, "d", 5), _flag(args, "k", 2)
     if d < 2:
         raise ValueError(f"bilinear needs --d >= 2, got {d}")
     if k < 2:
         raise ValueError(f"bilinear needs --k >= 2 (a k-linear estimate), got {k}")
+    if not C.rhs_finite(C.WAVE, d, k):
+        raise ValueError(f"bilinear has no finite right-hand side at --d {d} --k {k}")
     if args.samples < 2:
         raise ValueError(f"bilinear needs --samples >= 2 for a Monte Carlo error bar, "
                          f"got {args.samples}")

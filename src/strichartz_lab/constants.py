@@ -58,6 +58,21 @@ def beta_exponent(d: int, k: int) -> Fraction:
     return Fraction(d * (k - 1), 2) - 1
 
 
+def rhs_finite(family: str, d: int, k: int) -> bool:
+    """Whether the k-linear right-hand side is finite for data of full support.
+
+    Only a negative exponent e makes the weight K^{2e} singular, and that
+    happens at k = 2 alone, where K^2 vanishes quadratically on coincident
+    directions (wave: K^2 ~ r1 r2 theta^2 / 2, codimension d - 1) or on
+    coincident frequencies (Schrodinger: K^2 = |eta_1 - eta_2|^2,
+    codimension d).  K^{2e} is integrable there iff 2e + codimension > 0,
+    which fails at wave (2, 2) and Schrodinger (1, 2), both e = -1/2.
+    """
+    if family == WAVE:
+        return 2 * alpha_exponent(d, k) + d - 1 > 0
+    return 2 * beta_exponent(d, k) + d > 0
+
+
 def log_beta_fn(x: float, y: float) -> float:
     if x <= 0 or y <= 0:
         raise ValueError(f"beta function needs positive arguments, got ({x}, {y})")

@@ -384,8 +384,9 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
     radial factor r^{d-2} e^{-2 sigma r} including the worst-direction
     tilt, so weights are bounded by construction), directions uniform.
     Schrodinger sampling: the Gaussian factor is matched exactly and
-    only K^{2 beta} fluctuates.  Inadmissible wave profiles raise (the
-    integral diverges).
+    only K^{2 beta} fluctuates.  Inadmissible wave profiles, and the
+    (family, d, k) whose weight is not integrable (constants.rhs_finite),
+    raise: the integral diverges.
     """
     k = len(profiles)
     if k < 2:
@@ -394,6 +395,9 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
     family = profiles[0].family
     if any(p.d != d or p.family != family for p in profiles):
         raise ValueError("profiles must share dimension and family")
+    if not C.rhs_finite(family, d, k):
+        raise ValueError(f"the {family} (d, k) = ({d}, {k}) right-hand side diverges: "
+                         "its weight is not integrable at coincident frequencies")
     if family == WAVE:
         if any(not p.admissible for p in profiles):
             raise ValueError("inadmissible wave profile: right-hand side diverges")

@@ -11,12 +11,15 @@ kernel (elementary for odd d, Bessel J for even d).  The quadrature runs
 on [0, R], R a certified exponential tail cut, with rules from one
 ladder: rung m is 24 * 2^m uniform 12-node Gauss-Legendre panels.  Time
 rows are grouped into 48-row blocks by |t|; a block starts on the lowest
-rung with two panels per period of its largest phase (plus 8), and its
+rung with one panel per period of its largest phase (plus 8), and its
 level l is l rungs higher, so blocks at different starting rungs use the
-same rules.  Refinement is rung-major: the rungs are walked upward once,
-each rung's kernel matrix A_d(rho r) is built once (in rho chunks) and
-shared by every block waiting on it, and a block stops when two of its
-levels agree.  For the exponential family the integral is also elementary,
+same rules.  A block's base rung is only the coarse reference of its
+first difference: the value it accepts comes from level 1 or above, so
+from at least two panels per period.  Refinement is rung-major: the
+rungs are walked upward once, each rung's kernel matrix A_d(rho r) is
+built once (in rho chunks) and shared by every block waiting on it, and
+a block stops when two of its levels agree.  For the exponential family
+the integral is also elementary,
 
     u(t, r) = e^c kappa_d ((-(a + i s t))^2 + r^2)^{-(d-1)/2},
     kappa_d = Gamma((d+1)/2) / ((d-1) pi^{(d+1)/2}),
@@ -43,16 +46,19 @@ from .constants import WAVE, SCHRODINGER, log_sphere_area, sphere_area
 from .profiles import ExtremalProfile, checked_decay
 from .quadrules import QuadratureError, uniform_panels
 
-# Fixed geometry of the radial quadrature: at least 24 panels, two per
-# oscillation period, a tail cut 2/sigma past the certified radius, 48-row
-# time blocks, kernel matrices built in chunks of at most 4e6 entries, and
-# at most six rungs above a block's base rung.
+# Fixed geometry of the radial quadrature: at least 24 panels, one per
+# oscillation period on a block's base rung (a 12-node panel over one full
+# period of e^{ix} is exact to rounding), a tail cut 2/sigma past the
+# certified radius, 48-row time blocks, kernel matrices built in chunks of
+# at most 4e6 entries, and at most seven rungs above a block's base rung:
+# the base sits at most one rung below the two-panels-per-period rung, so a
+# block gives up no lower than six rungs above that rung.
 _MIN_PANELS = 24
-_PANELS_PER_PERIOD = 2.0
+_PANELS_PER_PERIOD = 1.0
 _TAIL_MARGIN = 2.0
 _T_BLOCK = 48
 _KERNEL_CHUNK = 4_000_000
-_MAX_LEVELS = 6
+_MAX_LEVELS = 7
 
 
 def angular_kernel(d: int, s):

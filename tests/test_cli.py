@@ -250,6 +250,8 @@ def test_shells_bad_point_exits_2(point):
     (["constants", "--d", "0"], "constants has no catalog row"),
     (["shells", "--point", "inf,0,0,0"], "--point needs finite values"),
     (["shells", "--epsilon", "inf"], "shells needs --epsilon > 0 and finite"),
+    (["bilinear", "--d", "2", "--k", "2"], "bilinear has no finite right-hand side"),
+    (["all", "--d", "2"], "bilinear has no finite right-hand side"),
 ])
 def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

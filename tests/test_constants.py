@@ -45,6 +45,15 @@ def test_beta_exponent_values():
     assert C.beta_exponent(4, 2) == 1
 
 
+def test_rhs_is_finite_except_at_the_two_negative_exponents():
+    for family, d_min in ((C.WAVE, 2), (C.SCHRODINGER, 1)):
+        for d in range(d_min, 7):
+            for k in range(2, 6):
+                divergent = (family, d, k) in ((C.WAVE, 2, 2), (C.SCHRODINGER, 1, 2))
+                assert C.rhs_finite(family, d, k) is not divergent
+                assert divergent == (C.EstimateScale(d, k, family).exponent < 0)
+
+
 def test_exponent_validation():
     with pytest.raises(ValueError):
         C.alpha_exponent(0, 2)

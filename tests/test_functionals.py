@@ -16,7 +16,7 @@ from strichartz_lab import propagators as PR
 from strichartz_lab.constants import SCHRODINGER, WAVE, sphere_area
 from strichartz_lab.functionals import radial_pair_rhs
 from strichartz_lab.quadrules import angular_nodes, gauss_nodes, panel_nodes
-from strichartz_lab.search import AnsatzProfile
+from strichartz_lab.search import AnsatzProfile, symmetry_invariance_audit
 
 QUARTIC_D5 = 1.0 / (6144.0 * math.pi ** 8)
 
@@ -230,6 +230,14 @@ def test_multilinear_rhs_constant_weights_have_rounding_level_stderr():
     assert est.stderr <= 1e-14 * est.mean
 
 
+@pytest.mark.parametrize("profile", [P.wave_profile(2, -1.0), P.schrodinger_profile(1, -1.0)])
+def test_multilinear_rhs_rejects_a_divergent_right_hand_side(profile):
+    # Wave (2, 2) and Schrodinger (1, 2): K^{-1} is not integrable where the
+    # two frequencies meet, so any finite Monte Carlo mean would be seed noise.
+    with pytest.raises(ValueError, match="right-hand side diverges"):
+        FN.multilinear_rhs([profile, profile], n_samples=1000, seed=1)
+
+
 def test_multilinear_rhs_equality_case(ev5):
     p = P.wave_profile(5, -1.0)
     lhs, lerr = FN.product_l2_sq([ev5, ev5])
@@ -266,6 +274,8 @@ def test_multilinear_rhs_directions_are_bit_identical_to_the_reference(d, monkey
     profs = [P.wave_profile(d, -1.0, b=b), P.wave_profile(d, complex(-1.3, 0.2), c=0.1j),
              P.wave_profile(d, -0.8)]
     runs = [(profs[:2], 10 ** 4), (profs, 10 ** 4)]
+    if d == 2:  # the (2, 2) right-hand side diverges and is rejected
+        runs = runs[1:]
     if d == 5:  # two chunks, the second of 5 samples
         runs.append((profs[:2], MC.CHUNK + 5))
     for tup, n in runs:
@@ -451,6 +461,29 @@ def test_mixed_norm_quotient_gaussian_and_tilted():
     assert rep_t.ratio == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError):
         FN.mixed_norm_quotient(P.schrodinger_profile(3, -1.0))
+
+
+# A Galilean boost v sends b to b + 2 a v, so it tilts d = 4 Gaussian data
+# by Re b = -2 sigma v, and the mixed-norm quotient must follow its closed
+# form ratio^4 = 1/(1 + |Re b|^2/(d sigma)) away from the extremizers.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_sigma=st.floats(-1.0, 1.0), chirp=st.floats(-1.0, 1.0),
+       c=st.tuples(st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi)),
+       shift=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       v=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_galilean_boost_lowers_the_mixed_norm_quotient_by_its_closed_form(
+        log_sigma, chirp, c, shift, v):
+    sigma = math.exp(log_sigma)
+    p = P.schrodinger_profile(4, complex(-sigma, chirp), b=1j * np.array(shift),
+                              c=complex(*c))
+    boost = P.GalileanBoost(tuple(v))
+    boosted = P.symmetry_apply(boost, p)
+    want4 = 1.0 / (1.0 + float(np.dot(boosted.b.real, boosted.b.real)) / (4.0 * sigma))
+    assert FN.mixed_norm_quotient(boosted).ratio ** 4 == pytest.approx(want4, rel=1e-12)
+    audit = symmetry_invariance_audit(p, {"galilean": boost},
+                                      lambda q: FN.mixed_norm_quotient(q).ratio)
+    if 1.0 - want4 ** 0.25 > 1e-3:
+        assert audit["changes"]["galilean"] > 1e-3
 
 
 def test_gaussian_l4_against_spacetime_quadrature():

@@ -86,10 +86,19 @@ def test_angular_kernel_equals_the_masked_form_without_warnings(d):
 def test_rung_ladder_never_uses_fewer_panels(periods, level):
     # Reference: the panel count a block used before the rung ladder.
     before = max(24, int(math.ceil(2.0 * periods)) + 8)
+    # The base rung of the two-panels-per-period rule, the lowest rung
+    # whose 24 << m panels reach `before`.
+    old_m = (-(-before // 24) - 1).bit_length()
+    need = max(24, int(math.ceil(periods)) + 8)
     m = PR._base_rung(periods)
     panels = PR._MIN_PANELS << m
-    assert panels >= before and (m == 0 or panels < 2 * before)
-    assert PR._MIN_PANELS << (m + level) >= before << level
+    assert 2 * panels >= before
+    assert panels >= need and (m == 0 or panels < 2 * need)
+    # A block accepts only level 1 or above, which has the panels of the
+    # reference at every level.
+    assert PR._MIN_PANELS << (m + 1 + level) >= before << level
+    # The last rung before QuadratureError is no lower than it was.
+    assert m + PR._MAX_LEVELS >= old_m + 6
 
 
 @pytest.mark.parametrize("rung", [0, 1, 3])
@@ -151,6 +160,19 @@ def test_rung_quadrature_matches_the_schrodinger_gaussian():
         q = PR.RadialEvaluator(p, method="quadrature").eval_grid(ts, rs)
         c = PR.RadialEvaluator(p).eval_grid(ts, rs)
         assert np.allclose(q, c, rtol=1e-9, atol=1e-14 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("a", [-1.0 + 0.4j, -0.8 - 0.6j])
+def test_rung_quadrature_matches_the_schrodinger_gaussian_on_a_wide_window(d, a):
+    # |t| <= 8 and r <= 16: three blocks over two base rungs, so the
+    # accepted values come from rungs shared by blocks at different levels.
+    p = P.schrodinger_profile(d, a, c=0.3 + 0.2j)
+    ts = np.linspace(-8.0, 8.0, 2 * PR._T_BLOCK + 5)
+    rs = np.linspace(0.0, 16.0, 9)
+    q = PR.RadialEvaluator(p, method="quadrature").eval_grid(ts, rs)
+    c = PR.RadialEvaluator(p).eval_grid(ts, rs)
+    assert np.allclose(q, c, rtol=1e-9, atol=1e-14 * np.max(np.abs(c)))
 
 
 @pytest.mark.parametrize("family", ["wave", "schrodinger"])
