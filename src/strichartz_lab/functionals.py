@@ -725,9 +725,9 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     def block(rows):
         Q = q[rows, None, None]
         A = 0.25 * Q * Q + RR * RR
-        B = Q * RR
-        return np.asarray(radial_fn(np.sqrt(A + B * U))) * np.asarray(
-            radial_fn(np.sqrt(A - B * U))
+        BU = Q * RR * U
+        return np.asarray(radial_fn(np.sqrt(A + BU))) * np.asarray(
+            radial_fn(np.sqrt(A - BU))
         )
 
     phi = 0.25 * R ** (d - 2) * sphere_area(d - 1) * _contract_rows(
@@ -762,13 +762,13 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     def block(rows):
         T = tau[rows, None, None]
         Q = T * X
-        rstar = (T * T - Q * Q) / (2.0 * (T - Q * U))
-        return (
-            np.asarray(g1(rstar))
-            * np.asarray(g2(T - rstar))
-            * rstar ** (d - 2)
-            / (T - Q * U)
-        )
+        D = T - Q * U
+        rstar = (T * T - Q * Q) / (2.0 * D)
+        # A fresh product, so scaling it in place touches no array of g's.
+        vals = np.asarray(g1(rstar)) * np.asarray(g2(T - rstar))
+        vals *= rstar ** (d - 2)
+        vals /= D
+        return vals
 
     phi = sphere_area(d - 1) * _contract_rows(block, tau.size, x.size * u.size, wu)
     qweight = (tau[:, None] * x[None, :]) ** (d - 1) * tau[:, None]  # dq = tau dx

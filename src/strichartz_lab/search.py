@@ -38,6 +38,31 @@ SUPPORTED_CASES = {
 _Z_LO, _Z_HI = math.log(0.05), math.log(20.0)
 _SIMPLEX_TOL = 1e-5   # Nelder-Mead convergence tolerance on -Q
 _INIT_SPREAD = 0.35   # scale of the random Chebyshev start coefficients
+_MAX_M = 12           # most ansatz coefficients
+
+
+def _chebval_in_place(x: np.ndarray, c: list) -> np.ndarray:
+    """numpy's chebval(x, c) for Python-float coefficients c, overwriting x.
+
+    The Clenshaw recurrence performs chebval's operations in its order,
+    its 1- and 2-coefficient branches included (one coefficient gives
+    c0 + 0 * x, which can differ from c0 in the sign of a zero), so the
+    result is bit for bit chebval's.
+    """
+    if len(c) < 3:
+        c0, c1 = c[0], (c[1] if len(c) == 2 else 0.0)
+    else:
+        x2 = x * 2.0
+        c0, c1 = c[-3] - c[-1], x2 * c[-1]
+        c1 += c[-2]
+        for ci in c[-4::-1]:
+            c0_next = ci - c1
+            c1 *= x2
+            c1 += c0
+            c0 = c0_next
+    x *= c1
+    x += c0
+    return x
 
 
 @dataclass
@@ -50,8 +75,8 @@ class AnsatzProfile:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.size < 1 or self.theta.size > 12:
-            raise ValueError("ansatz needs 1..12 coefficients")
+        if not 1 <= self.theta.size <= _MAX_M:
+            raise ValueError(f"ansatz needs 1..{_MAX_M} coefficients")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("ansatz coefficients must be finite")
         if self.family not in (WAVE, SCHRODINGER):
@@ -66,18 +91,36 @@ class AnsatzProfile:
         """Coefficient of the guaranteed-decay direction, always > 0."""
         return math.exp(self.theta[0])
 
-    def log_profile(self, r):
+    def _log_profile_array(self, r) -> np.ndarray:
+        """log g(r) as a fresh array of r's shape (0-d for a scalar r),
+        built in place in arrays allocated here (r is only read); its bits
+        equal -decay_rate * r**pow + chebval(clip(z), theta[1:])."""
         r = np.asarray(r, dtype=float)
-        out = -self.decay_rate * r ** self.decay_power
+        out = np.empty_like(r)
+        if self.decay_power == 2:
+            np.multiply(r, r, out=out)
+            out *= -self.decay_rate
+        else:
+            np.multiply(r, -self.decay_rate, out=out)
         if self.theta.size > 1:
-            z = (2.0 * (np.log(np.maximum(r, 1e-12)) - _Z_LO) / (_Z_HI - _Z_LO)) - 1.0
-            z = np.clip(z, -1.0, 1.0)
-            cheb = np.polynomial.chebyshev.chebval(z, self.theta[1:])
-            out = out + cheb
+            z = np.maximum(r, 1e-12, out=np.empty_like(r))
+            np.log(z, out=z)
+            z -= _Z_LO
+            z *= 2.0
+            z /= _Z_HI - _Z_LO
+            z -= 1.0
+            np.clip(z, -1.0, 1.0, out=z)
+            out += _chebval_in_place(z, self.theta[1:].tolist())
         return out
 
+    def log_profile(self, r):
+        return self._log_profile_array(r)[()]
+
     def radial_fn(self):
-        return lambda r: np.exp(self.log_profile(r))
+        def g(r):
+            out = self._log_profile_array(r)
+            return np.exp(out, out=out)[()]
+        return g
 
     def amp_bound(self) -> float:
         """max over r of g(r) e^{+decay_rate r^pow} (the correction sup)."""
@@ -136,6 +179,14 @@ class SearchConfig:
     seed: int = 0
     m: int = 6               # number of ansatz coefficients
     restarts: int = 1
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"search needs budget >= 1, got {self.budget}")
+        if self.restarts < 1:
+            raise ValueError(f"search needs restarts >= 1, got {self.restarts}")
+        if not 1 <= self.m <= _MAX_M:
+            raise ValueError(f"search needs m in 1..{_MAX_M}, got {self.m}")
 
 
 def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),

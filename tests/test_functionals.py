@@ -167,6 +167,21 @@ def test_fiber_row_blocks_are_bit_identical_to_whole_tensors():
     assert FN.schro_quartic_norm4(ga, 4, 1.0, n_q=81) == _schro_quartic_norm4_whole(
         ga, 4, 1.0, n_q=81)
 
+    # A fiber route may scale only arrays it allocated itself: never the
+    # argument it passed to g, nor an array g returned.
+    def echo(rho):
+        return rho
+
+    def frozen(rho):
+        out = np.exp(-rho)
+        out.flags.writeable = False
+        return out
+
+    for g in (echo, frozen):
+        assert FN.wave_bilinear_lhs_fiber(g, g, 5, 1.0) == _wave_bilinear_lhs_fiber_whole(
+            g, g, 5, 1.0)
+        assert FN.schro_quartic_norm4(g, 4, 1.0) == _schro_quartic_norm4_whole(g, 4, 1.0)
+
 
 def test_fiber_routines_never_evaluate_more_than_one_block():
     sizes = []

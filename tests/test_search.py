@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
@@ -104,6 +105,73 @@ def test_search_rejects_a_bad_start_vector():
     for x0 in (np.zeros(3), np.zeros((2, 3)), np.full(6, np.nan), [0.0] * 5 + [np.inf]):
         with pytest.raises(ValueError, match="finite vector of m = 6"):
             S.search(4, 2, SCHRODINGER, cfg, x0=x0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"budget": 0}, "budget >= 1, got 0"),
+    ({"budget": -3}, "budget >= 1, got -3"),
+    ({"restarts": 0}, "restarts >= 1, got 0"),
+    ({"m": 0}, "m in 1..12, got 0"),
+    ({"m": 13}, "m in 1..12, got 13"),
+])
+def test_search_config_rejects_an_empty_budget_restart_count_or_ansatz(fields, message):
+    with pytest.raises(ValueError, match=message):
+        S.SearchConfig(**fields)
+    for m in (1, 12):
+        assert S.SearchConfig(budget=1, restarts=1, m=m).m == m
+
+
+def _oracle_log_profile(theta, family, r):
+    # The log-profile written out with numpy's chebval, as evaluated before
+    # AnsatzProfile summed its Chebyshev series in place.
+    r = np.asarray(r, dtype=float)
+    out = -math.exp(theta[0]) * r ** (1 if family == WAVE else 2)
+    if len(theta) > 1:
+        z = (2.0 * (np.log(np.maximum(r, 1e-12)) - S._Z_LO) / (S._Z_HI - S._Z_LO)) - 1.0
+        z = np.clip(z, -1.0, 1.0)
+        out = out + np.polynomial.chebyshev.chebval(z, np.asarray(theta[1:]))
+    return out
+
+
+_RADII = st.one_of(st.sampled_from([0.0, 1e-13, 0.05, 20.0]),
+                   st.floats(0.0, 40.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from([WAVE, SCHRODINGER]),
+    theta=st.lists(st.floats(-12.0, 12.0, allow_nan=False), min_size=1, max_size=12),
+    kind=st.sampled_from(["scalar", "list", "1d", "3d"]),
+    shape=st.tuples(*[st.integers(1, 4)] * 3),
+    radii=st.lists(_RADII, min_size=1, max_size=16),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_ansatz_profile_matches_the_chebval_oracle_bit_for_bit(family, theta, kind, shape,
+                                                               radii, seed):
+    # The clip radii in every example, and generic radii beside the drawn
+    # ones, whose last bits a reordered step would move.
+    spread = np.random.default_rng(seed).uniform(0.0, 25.0, size=48).tolist()
+    radii = [0.0, 0.05, 20.0] + spread + radii
+    if kind == "scalar":
+        r = radii[-1]
+    elif kind == "list":
+        r = radii
+    elif kind == "1d":
+        r = np.array(radii)
+    else:
+        r = np.resize(np.array(radii), shape)
+    before = np.array(r, copy=True)
+    prof = S.AnsatzProfile(theta, 4, family)
+    want = _oracle_log_profile(theta, family, r)
+    got_log = prof.log_profile(r)
+    got = prof.radial_fn()(r)
+    assert np.array_equal(np.asarray(r), before)
+    for value, ref in ((got_log, want), (got, np.exp(want))):
+        assert np.shape(value) == np.shape(before)
+        assert np.asarray(value).dtype == np.float64
+        assert np.asarray(value).tobytes() == np.asarray(ref).tobytes()
+    if kind == "scalar":
+        assert isinstance(got, np.float64) and isinstance(got_log, np.float64)
 
 
 def test_ansatz_profile_rejects_non_finite_coefficients():
