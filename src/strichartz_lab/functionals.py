@@ -799,10 +799,10 @@ def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
 def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> QuotientReport:
     """Mixed-norm quotient for general radial Schrodinger data fhat = g(r).
 
-    The quartic norm comes from the shell-fiber representation (smooth,
-    fast; route 'fiber') or from the chirped radial-quadrature
-    propagator plus space-time quadrature (route 'propagator', the slow
-    cross-check).  Data norms by radial quadrature.
+    The quartic norm comes from the shell-fiber representation (smooth, fast;
+    route 'fiber') or from the chirped radial-quadrature propagator plus
+    space-time quadrature (route 'propagator', the slow cross-check, which
+    needs |g(rho)| <= e^{-decay rho^2}).  Data norms by radial quadrature.
     """
     d, rel_tol = 4, 2e-4
     l2 = schro_radial_norm_sq(radial_fn, d, 0.0, decay)

@@ -31,6 +31,13 @@ def checked_decay(decay: float) -> float:
     return decay
 
 
+def checked_positive(value: float, name: str) -> float:
+    """The decay rule for another positive scale (a bound or a tolerance)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 @dataclass
 class ExtremalProfile:
     family: str

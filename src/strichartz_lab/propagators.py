@@ -30,7 +30,10 @@ evaluated in real arithmetic, for norms that need only |u|^2.
 
 Schrodinger side: Gaussian data evolve in closed form; a 1-D FFT grid
 propagator covers the separated-support identity test; and a radial
-quadrature path handles non-Gaussian radial ansatz data.
+quadrature path on the same ladder (chirped multiplier e^{-i t rho^2})
+handles non-Gaussian data, cut where the Gaussian envelope's tail is at
+most rel_tol * abs_tol: the level test never sees the tail, so it gets a
+rel_tol share of that test's abs_tol (RadialEvaluator._truncation).
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ import numpy as np
 from scipy import special
 
 from .constants import WAVE, SCHRODINGER, log_sphere_area, sphere_area
-from .profiles import ExtremalProfile, checked_decay
+from .profiles import ExtremalProfile, checked_decay, checked_positive
 from .quadrules import QuadratureError, uniform_panels
 
 # Fixed geometry of the radial quadrature: at least 24 panels, one per
 # oscillation period on a block's base rung (a 12-node panel over one full
-# period of e^{ix} is exact to rounding), a tail cut 2/sigma past the
+# period of e^{ix} is exact to rounding), a wave tail cut 2/sigma past the
 # certified radius, 48-row time blocks, kernel matrices built in chunks of
 # at most 4e6 entries, and at most seven rungs above a block's base rung:
 # the base sits at most one rung below the two-panels-per-period rung, so a
@@ -110,6 +113,10 @@ class QuadSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-13
 
+    def __post_init__(self):
+        checked_positive(self.rel_tol, "rel_tol")
+        checked_positive(self.abs_tol, "abs_tol")
+
 
 DEFAULT_QUAD = QuadSpec()
 
@@ -157,11 +164,6 @@ def _rung_rule(R: float, rung: int):
     return h * nodes, h * weights
 
 
-def _chirp_log(amp: float, sigma: float, abs_tol: float) -> float:
-    """rho^2-scale L with amp * exp(-sigma L) below tolerance."""
-    return max(math.log(max(amp, 1.0) / abs_tol) / sigma, 4.0 / sigma)
-
-
 class RadialEvaluator:
     """Space-time field of one radial-data propagator.
 
@@ -173,11 +175,14 @@ class RadialEvaluator:
 
     Schrodinger family: 'auto' is the Gaussian closed form (b = 0);
     ansatz radial data use the quadrature path with the chirped
-    multiplier e^{-i t rho^2}.
+    multiplier e^{-i t rho^2}.  Ansatz data keep the envelope contract
+    |g(rho)| <= amp_bound e^{-decay rho} (wave) or amp_bound
+    e^{-decay rho^2} (Schrodinger), amp_bound finite and > 0 (default 1);
+    the tail cut rests on it.
     """
 
     def __init__(self, profile=None, quad: QuadSpec = DEFAULT_QUAD, method: str = "auto",
-                 radial_fn=None, decay=None, amp_bound=None, d=None, family=WAVE):
+                 radial_fn=None, decay=None, amp_bound=1.0, d=None, family=WAVE):
         if method not in ("auto", "quadrature"):
             raise ValueError(f"method must be 'auto' or 'quadrature', got {method!r}")
         sign = 1  # ansatz data ride the + sheet
@@ -195,7 +200,7 @@ class RadialEvaluator:
         self.quad, self.method, self.profile, self._g = quad, method, profile, radial_fn
         self.decay = checked_decay(float(decay))
         self.d, self.family, self.sign = int(d), family, sign
-        self.amp_bound = float(amp_bound if amp_bound is not None else 1.0)
+        self.amp_bound = checked_positive(float(amp_bound), "amp_bound")
 
     # -- field protocol ----------------------------------------------------
 
@@ -253,9 +258,17 @@ class RadialEvaluator:
     # -- quadrature ---------------------------------------------------------
 
     def _truncation(self) -> float:
+        """Cut R of the radial integral.  Schrodinger: the smallest R whose
+        envelope tail (2pi)^{-d} |S^{d-1}| int_R^inf amp_bound e^{-decay rho^2}
+        rho^{d-1} = amp_bound (4 pi decay)^{-d/2} Q(d/2, decay R^2), Q the
+        regularized upper gamma, is <= rel_tol * abs_tol (decay R^2 = 1 when
+        R = 0 meets it).  Every rung integrates [0, R], so the level test
+        never sees the tail; it gets a rel_tol share of that test's abs_tol."""
         if self.family == WAVE:
             return _truncation_radius(self.decay, self.amp_bound, self.d, self.quad.abs_tol)
-        return math.sqrt(_chirp_log(self.amp_bound, self.decay, self.quad.abs_tol)) + 2.0
+        q, d = self.quad, self.d
+        y = q.rel_tol * q.abs_tol * (4.0 * math.pi * self.decay) ** (0.5 * d) / self.amp_bound
+        return math.sqrt((special.gammainccinv(0.5 * d, y) if y < 1.0 else 1.0) / self.decay)
 
     def _rung_weights(self, R: float, rung: int):
         """Nodes, time frequencies (osc = exp(i t freq)) and core weights

@@ -326,6 +326,37 @@ def test_radial_pair_rhs_rejects_tuples_it_does_not_cover():
             radial_pair_rhs(*pair)
 
 
+def _criterion_07_wave_profile(rng, d):
+    """One random profile of criterion 07's k = 2 distribution."""
+    a = complex(-math.exp(rng.normal(scale=0.4)), 0.35 * rng.normal())
+    c = complex(0.3 * rng.normal(), math.pi * rng.random())
+    return P.wave_profile(d, a, c=c)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_k2_wave_lhs_holds_to_the_closed_form_rhs(d):
+    # LHS / (W RHS) with the exact RHS: 1 on the extremal pair and at most 1
+    # on criterion 07's random pairs, each to 3 x its relative LHS error;
+    # at d = 5, where the deficits dwarf the LHS error, strictly below 1.
+    W = C.EstimateScale(d, 2, WAVE).sharp_constant
+
+    def ratio_and_error(profs, **kw):
+        lhs, err = FN.product_l2_sq([PR.RadialEvaluator(p) for p in profs], **kw)
+        return lhs / (W * radial_pair_rhs(*profs)), err / lhs
+
+    ratio, rel_err = ratio_and_error([P.wave_profile(d, -1.0, c=0.15j * j + 0.1 * j)
+                                      for j in range(2)])
+    assert abs(ratio - 1.0) <= 3.0 * rel_err, (ratio, rel_err)
+    rng = np.random.default_rng(1807 + d)
+    for trial in range(20):
+        profs = [_criterion_07_wave_profile(rng, d) for _ in range(2)]
+        win = FN.default_window([PR.RadialEvaluator(p) for p in profs], tail_factor=20.0)
+        ratio, rel_err = ratio_and_error(profs, window=win, rel_tol=3e-4)
+        assert ratio <= 1.0 + 3.0 * rel_err, (trial, ratio, rel_err)
+        if d == 5:
+            assert 1.0 - ratio > 10.0 * rel_err, (trial, ratio, rel_err)
+
+
 def test_multilinear_rhs_schrodinger_closed_form():
     # d = 4, k = 2 Gaussians, b = 0: int int e^{-2|x|^2 - 2|y|^2} |x - y|^2
     # = (pi/2)^4 * 2 (the difference of two N(0, I/4) draws has E|.|^2 = 2).

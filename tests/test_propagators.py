@@ -12,7 +12,7 @@ from scipy import integrate, special
 from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
-from strichartz_lab.constants import sphere_area
+from strichartz_lab.constants import SCHRODINGER, WAVE, sphere_area
 from strichartz_lab.quadrules import QuadratureError, panel_nodes
 
 
@@ -355,6 +355,59 @@ def test_grid1d_mass_conservation_and_boundary_guard():
 def test_unknown_method_is_rejected(method):
     with pytest.raises(ValueError, match="method"):
         PR.RadialEvaluator(P.wave_profile(3, -1.0), method=method)
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf])
+def test_quad_spec_rejects_a_tolerance_that_is_not_finite_and_positive(name, bad):
+    with pytest.raises(ValueError, match=name):
+        PR.QuadSpec(**{name: bad})
+    PR.QuadSpec(rel_tol=1e-17, abs_tol=1e-40)
+
+
+@pytest.mark.parametrize("family", [WAVE, SCHRODINGER])
+@pytest.mark.parametrize("amp", [math.nan, math.inf, 0.0, -1.0])
+def test_amp_bound_that_is_not_finite_and_positive_is_rejected(family, amp):
+    with pytest.raises(ValueError, match="amp_bound"):
+        PR.RadialEvaluator(radial_fn=lambda rho: np.exp(-rho * rho), decay=1.0,
+                           amp_bound=amp, d=4, family=family)
+
+
+def _envelope_tail(d, sigma, amp, R):
+    """(2pi)^{-d} |S^{d-1}| int_R^inf amp e^{-sigma rho^2} rho^{d-1} drho by
+    mpmath quadrature of the integrand itself."""
+    with mpmath.workdps(30):
+        area = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        f = lambda rho: amp * mpmath.exp(-sigma * rho * rho) * rho ** (d - 1)
+        return float((2 * mpmath.pi) ** (-d) * area * mpmath.quad(f, [R, R + 1, mpmath.inf]))
+
+
+def _schrodinger_cut(d, sigma, amp, quad):
+    return PR.RadialEvaluator(radial_fn=lambda rho: amp * np.exp(-sigma * rho * rho),
+                              decay=sigma, amp_bound=amp, d=d, family=SCHRODINGER,
+                              quad=quad)._truncation()
+
+
+@pytest.mark.parametrize("quad", [PR.DEFAULT_QUAD, PR.QuadSpec(1e-5, 1e-9),
+                                  PR.QuadSpec(1e-6, 1e-10)])
+@pytest.mark.parametrize("sigma", [0.02, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_schrodinger_cut_is_the_smallest_certified_radius(d, sigma, quad):
+    target = quad.rel_tol * quad.abs_tol
+    for amp in (0.5, 1.0, 7.0):
+        R = _schrodinger_cut(d, sigma, amp, quad)
+        assert _envelope_tail(d, sigma, amp, R) <= target * (1.0 + 1e-9)
+        assert _envelope_tail(d, sigma, amp, 0.99 * R) > target
+
+
+def test_schrodinger_cut_covers_the_slow_decay_tail():
+    # d = 5, sigma = 0.02, default QuadSpec: the tail past the uncertified
+    # guess sqrt(log(1 / abs_tol) / sigma) + 2 is about 198 abs_tol.
+    quad, sigma = PR.DEFAULT_QUAD, 0.02
+    guess = math.sqrt(math.log(1.0 / quad.abs_tol) / sigma) + 2.0
+    assert _envelope_tail(5, sigma, 1.0, guess) > 100.0 * quad.abs_tol
+    R = _schrodinger_cut(5, sigma, 1.0, quad)
+    assert _envelope_tail(5, sigma, 1.0, R) <= quad.rel_tol * quad.abs_tol * (1.0 + 1e-9)
 
 
 def test_unconverged_quadrature_raises_with_best_and_error():
