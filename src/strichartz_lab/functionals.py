@@ -790,10 +790,14 @@ def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rmax)
 
 
+def _schro_norm_rmax(decay: float) -> float:
+    """Span of the Schrodinger data-norm rule: e^{-2 decay r^2} < 1e-280 past it."""
+    return math.sqrt(-math.log(1e-280) / (2.0 * checked_decay(decay))) + 3.0
+
+
 def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 1} dr for radial fhat = g."""
-    rmax = math.sqrt(-math.log(1e-280) / (2.0 * checked_decay(decay))) + 3.0
-    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, rmax)
+    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, _schro_norm_rmax(decay))
 
 
 def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> QuotientReport:
@@ -801,8 +805,9 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
 
     The quartic norm comes from the shell-fiber representation (smooth, fast;
     route 'fiber') or from the chirped radial-quadrature propagator plus
-    space-time quadrature (route 'propagator', the slow cross-check, which
-    needs |g(rho)| <= e^{-decay rho^2}).  Data norms by radial quadrature.
+    space-time quadrature (route 'propagator', the slow cross-check, whose
+    tail cut needs |g(rho)| <= e^{-decay rho^2} at the data-norm nodes, or
+    ValueError).  Data norms by radial quadrature.
     """
     d, rel_tol = 4, 2e-4
     l2 = schro_radial_norm_sq(radial_fn, d, 0.0, decay)
@@ -813,6 +818,9 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
         lhs = v2 ** 0.25
         lhs_err = lhs * abs(v2 - v1) / v2 / 4.0
     elif route == "propagator":
+        r, _ = _gauss_nodes(800, 0.0, _schro_norm_rmax(decay))
+        if np.any(np.abs(np.asarray(radial_fn(r))) > np.exp(-decay * r * r)):
+            raise ValueError("route 'propagator' needs |g(rho)| <= e^{-decay rho^2}")
         ev = RadialEvaluator(radial_fn=radial_fn, decay=decay, d=d, family=SCHRODINGER,
                              quad=QuadSpec(rel_tol=0.25 * rel_tol, abs_tol=1e-11))
         win = default_window([ev], tail_factor=4.0, core=10.0)

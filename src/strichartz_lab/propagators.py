@@ -8,7 +8,7 @@ reduces to a single oscillatory radial integral
 where g = |xi| fhat is the radial frequency amplitude, s = +/-1 the
 sheet, and A_d(s) = int_{S^{d-1}} e^{i s w_1} dsigma(w) the sphere
 kernel (elementary for odd d, Bessel J for even d).  The quadrature runs
-on [0, R], R a certified exponential tail cut, with rules from one
+on [0, R], R the certified tail cut below, with rules from one
 ladder: rung m is 24 * 2^m uniform 12-node Gauss-Legendre panels.  Time
 rows are grouped into 48-row blocks by |t|; a block starts on the lowest
 rung with one panel per period of its largest phase (plus 8), and its
@@ -31,9 +31,9 @@ evaluated in real arithmetic, for norms that need only |u|^2.
 Schrodinger side: Gaussian data evolve in closed form; a 1-D FFT grid
 propagator covers the separated-support identity test; and a radial
 quadrature path on the same ladder (chirped multiplier e^{-i t rho^2})
-handles non-Gaussian data, cut where the Gaussian envelope's tail is at
-most rel_tol * abs_tol: the level test never sees the tail, so it gets a
-rel_tol share of that test's abs_tol (RadialEvaluator._truncation).
+handles non-Gaussian data.  Both families cut where the data's envelope
+amp_bound e^{-decay rho^p} (p = 1 wave, 2 Schrodinger) leaves a tail of at
+most rel_tol * abs_tol (RadialEvaluator._truncation).
 """
 
 from __future__ import annotations
@@ -49,16 +49,13 @@ from .constants import WAVE, SCHRODINGER, log_sphere_area, sphere_area
 from .profiles import ExtremalProfile, checked_decay, checked_positive
 from .quadrules import QuadratureError, uniform_panels
 
-# Fixed geometry of the radial quadrature: at least 24 panels, one per
-# oscillation period on a block's base rung (a 12-node panel over one full
-# period of e^{ix} is exact to rounding), a wave tail cut 2/sigma past the
-# certified radius, 48-row time blocks, kernel matrices built in chunks of
-# at most 4e6 entries, and at most seven rungs above a block's base rung:
-# the base sits at most one rung below the two-panels-per-period rung, so a
-# block gives up no lower than six rungs above that rung.
+# Fixed geometry of the radial quadrature: at least 24 panels (one per
+# oscillation period on a block's base rung, see _base_rung), 48-row time
+# blocks, kernel matrices built in chunks of at most 4e6 entries, and at
+# most seven rungs above a block's base rung: the base sits at most one
+# rung below the two-panels-per-period rung, so a block gives up no lower
+# than six rungs above that rung.
 _MIN_PANELS = 24
-_PANELS_PER_PERIOD = 1.0
-_TAIL_MARGIN = 2.0
 _T_BLOCK = 48
 _KERNEL_CHUNK = 4_000_000
 _MAX_LEVELS = 7
@@ -121,20 +118,6 @@ class QuadSpec:
 DEFAULT_QUAD = QuadSpec()
 
 
-def _truncation_radius(sigma: float, amp: float, d: int, abs_tol: float) -> float:
-    """R with |tail| < abs_tol for integrands bounded by amp e^{-sigma rho} rho^{d-2} A.
-
-    Uses int_R^inf e^{-sigma rho} rho^{d-2} <= e^{-sigma R/2} Gamma(d-1) (2/sigma)^{d-1}.
-    """
-    area = sphere_area(d)
-    const = amp * area * math.gamma(d - 1) * (2.0 / sigma) ** (d - 1) / (2.0 * math.pi) ** d
-    if const <= abs_tol:
-        base = 1.0
-    else:
-        base = 2.0 * math.log(const / abs_tol) / sigma
-    return max(base, 10.0 / sigma) + _TAIL_MARGIN / sigma
-
-
 def _inv_half_power(x, n: int):
     """x ** (-n / 2) from one integer-valued power and at most one square root.
 
@@ -150,8 +133,9 @@ def _inv_half_power(x, n: int):
 
 def _base_rung(periods: float) -> int:
     """Lowest rung whose _MIN_PANELS << m panels give a phase of `periods`
-    oscillations on [0, R] _PANELS_PER_PERIOD panels each, plus 8."""
-    need = max(_MIN_PANELS, int(math.ceil(periods * _PANELS_PER_PERIOD)) + 8)
+    oscillations on [0, R] one panel per period, plus 8 (a 12-node panel
+    over one full period of e^{ix} is exact to rounding)."""
+    need = max(_MIN_PANELS, math.ceil(periods) + 8)
     return (-(-need // _MIN_PANELS) - 1).bit_length()
 
 
@@ -176,9 +160,9 @@ class RadialEvaluator:
     Schrodinger family: 'auto' is the Gaussian closed form (b = 0);
     ansatz radial data use the quadrature path with the chirped
     multiplier e^{-i t rho^2}.  Ansatz data keep the envelope contract
-    |g(rho)| <= amp_bound e^{-decay rho} (wave) or amp_bound
-    e^{-decay rho^2} (Schrodinger), amp_bound finite and > 0 (default 1);
-    the tail cut rests on it.
+    |g(rho)| <= amp_bound e^{-decay rho^p}, p = 1 (wave) or 2
+    (Schrodinger), amp_bound finite and > 0 (default 1); the tail cut
+    rests on it.
     """
 
     def __init__(self, profile=None, quad: QuadSpec = DEFAULT_QUAD, method: str = "auto",
@@ -258,17 +242,21 @@ class RadialEvaluator:
     # -- quadrature ---------------------------------------------------------
 
     def _truncation(self) -> float:
-        """Cut R of the radial integral.  Schrodinger: the smallest R whose
-        envelope tail (2pi)^{-d} |S^{d-1}| int_R^inf amp_bound e^{-decay rho^2}
-        rho^{d-1} = amp_bound (4 pi decay)^{-d/2} Q(d/2, decay R^2), Q the
-        regularized upper gamma, is <= rel_tol * abs_tol (decay R^2 = 1 when
-        R = 0 meets it).  Every rung integrates [0, R], so the level test
-        never sees the tail; it gets a rel_tol share of that test's abs_tol."""
-        if self.family == WAVE:
-            return _truncation_radius(self.decay, self.amp_bound, self.d, self.quad.abs_tol)
+        """Cut R of the radial integral: the smallest R whose envelope tail
+        (2pi)^{-d} |S^{d-1}| int_R^inf amp_bound e^{-decay rho^p} rho^{ps-1}
+        = amp_bound (2pi)^{-d} |S^{d-1}| Gamma(s) Q(s, decay R^p) / (p decay^s),
+        Q the regularized upper gamma, is <= rel_tol * abs_tol (decay R^p = 1
+        when R = 0 meets it); (p, s) = (1, d - 1) wave, (2, d/2) Schrodinger.
+        Every rung integrates [0, R], so the level test never sees the tail;
+        it gets a rel_tol share of that test's abs_tol."""
         q, d = self.quad, self.d
-        y = q.rel_tol * q.abs_tol * (4.0 * math.pi * self.decay) ** (0.5 * d) / self.amp_bound
-        return math.sqrt((special.gammainccinv(0.5 * d, y) if y < 1.0 else 1.0) / self.decay)
+        p, s = (1, d - 1.0) if self.family == WAVE else (2, 0.5 * d)
+        scale = self.amp_bound * sphere_area(d) * math.gamma(s) / (p * self.decay ** s)
+        y = q.rel_tol * q.abs_tol * (2.0 * math.pi) ** d / scale
+        x = special.gammainccinv(s, y) if y < 1.0 else 1.0
+        if not math.isfinite(x):
+            raise ValueError(f"rel_tol * abs_tol underflows against amp_bound {self.amp_bound:.3g}")
+        return float(x / self.decay) ** (1.0 / p)
 
     def _rung_weights(self, R: float, rung: int):
         """Nodes, time frequencies (osc = exp(i t freq)) and core weights

@@ -551,6 +551,14 @@ def test_schro_ansatz_routes_agree():
         FN.schro_ansatz_quotient(g, decay=1.0, route="warp")
 
 
+def test_schro_propagator_route_rejects_data_above_its_envelope():
+    # Criterion 04's perturbed data reach 1.16 e^{-0.3 rho^2} near rho = 1.69,
+    # so the propagator route's tail cut would not be certified on them.
+    bumpy = lambda rho: np.exp(-rho ** 2) + 0.45 * np.exp(-4.0 * (rho - 1.6) ** 2)
+    with pytest.raises(ValueError, match="route 'propagator' needs"):
+        FN.schro_ansatz_quotient(bumpy, decay=0.3, route="propagator")
+
+
 def test_schro_perturbed_quotient_drops():
     gd = lambda rho: np.exp(-rho ** 2) + 0.45 * np.exp(-4.0 * (rho - 1.6) ** 2)
     rep = FN.schro_ansatz_quotient(gd, decay=0.3)

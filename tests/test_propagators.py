@@ -1,7 +1,9 @@
 """Propagator evaluation: oscillatory quadrature, closed forms, FFT grid."""
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+import strichartz_lab
 from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
@@ -373,18 +376,22 @@ def test_amp_bound_that_is_not_finite_and_positive_is_rejected(family, amp):
                            amp_bound=amp, d=4, family=family)
 
 
-def _envelope_tail(d, sigma, amp, R):
-    """(2pi)^{-d} |S^{d-1}| int_R^inf amp e^{-sigma rho^2} rho^{d-1} drho by
-    mpmath quadrature of the integrand itself."""
+def _envelope_tail(d, sigma, amp, R, family=SCHRODINGER):
+    """(2pi)^{-d} |S^{d-1}| int_R^inf of the envelope integrand by mpmath
+    quadrature of the integrand itself: amp e^{-sigma rho^2} rho^{d-1}
+    (Schrodinger) or amp e^{-sigma rho} rho^{d-2} (wave) drho."""
     with mpmath.workdps(30):
         area = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
-        f = lambda rho: amp * mpmath.exp(-sigma * rho * rho) * rho ** (d - 1)
+        if family == WAVE:
+            f = lambda rho: amp * mpmath.exp(-sigma * rho) * rho ** (d - 2)
+        else:
+            f = lambda rho: amp * mpmath.exp(-sigma * rho * rho) * rho ** (d - 1)
         return float((2 * mpmath.pi) ** (-d) * area * mpmath.quad(f, [R, R + 1, mpmath.inf]))
 
 
-def _schrodinger_cut(d, sigma, amp, quad):
+def _cut(d, sigma, amp, quad, family=SCHRODINGER):
     return PR.RadialEvaluator(radial_fn=lambda rho: amp * np.exp(-sigma * rho * rho),
-                              decay=sigma, amp_bound=amp, d=d, family=SCHRODINGER,
+                              decay=sigma, amp_bound=amp, d=d, family=family,
                               quad=quad)._truncation()
 
 
@@ -395,9 +402,40 @@ def _schrodinger_cut(d, sigma, amp, quad):
 def test_schrodinger_cut_is_the_smallest_certified_radius(d, sigma, quad):
     target = quad.rel_tol * quad.abs_tol
     for amp in (0.5, 1.0, 7.0):
-        R = _schrodinger_cut(d, sigma, amp, quad)
+        R = _cut(d, sigma, amp, quad)
         assert _envelope_tail(d, sigma, amp, R) <= target * (1.0 + 1e-9)
         assert _envelope_tail(d, sigma, amp, 0.99 * R) > target
+
+
+@pytest.mark.parametrize("quad", [PR.DEFAULT_QUAD, PR.QuadSpec(1e-5, 1e-9),
+                                  PR.QuadSpec(1e-6, 1e-10)])
+@pytest.mark.parametrize("sigma", [0.02, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_wave_cut_is_the_smallest_certified_radius(d, sigma, quad):
+    target = quad.rel_tol * quad.abs_tol
+    for amp in (0.5, 1.0, 7.0):
+        R = _cut(d, sigma, amp, quad, family=WAVE)
+        assert _envelope_tail(d, sigma, amp, R, family=WAVE) <= target * (1.0 + 1e-9)
+        assert _envelope_tail(d, sigma, amp, 0.99 * R, family=WAVE) > target
+
+
+@pytest.mark.parametrize("family", [WAVE, SCHRODINGER])
+def test_cut_whose_target_underflows_names_the_tolerances(family):
+    # rel_tol * abs_tol = 1e-317 over an envelope scale of about 1e300
+    # underflows to 0, where the cut would be infinite.
+    ev = PR.RadialEvaluator(radial_fn=lambda rho: np.exp(-rho * rho), decay=1.0,
+                            amp_bound=1e300, d=3, family=family,
+                            quad=PR.QuadSpec(1e-17, 1e-300))
+    with pytest.raises(ValueError, match=r"rel_tol \* abs_tol.*amp_bound"):
+        ev.eval_grid([0.0, 1.0], [0.5, 1.0])
+
+
+def test_gammainccinv_is_called_only_in_propagators():
+    # One tail-cut rule: RadialEvaluator._truncation.
+    src = Path(strichartz_lab.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py")
+                   if re.search(r"gammainccinv", p.read_text()))
+    assert users == ["propagators.py"]
 
 
 def test_schrodinger_cut_covers_the_slow_decay_tail():
@@ -406,7 +444,7 @@ def test_schrodinger_cut_covers_the_slow_decay_tail():
     quad, sigma = PR.DEFAULT_QUAD, 0.02
     guess = math.sqrt(math.log(1.0 / quad.abs_tol) / sigma) + 2.0
     assert _envelope_tail(5, sigma, 1.0, guess) > 100.0 * quad.abs_tol
-    R = _schrodinger_cut(5, sigma, 1.0, quad)
+    R = _cut(5, sigma, 1.0, quad)
     assert _envelope_tail(5, sigma, 1.0, R) <= quad.rel_tol * quad.abs_tol * (1.0 + 1e-9)
 
 
