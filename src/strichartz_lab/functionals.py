@@ -21,9 +21,9 @@ from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, chunk_generator, mc_mean, unit_directions
-from .profiles import ExtremalProfile, checked_decay, sobolev_norm_sq, wave_profile
+from .profiles import ExtremalProfile, checked_positive, sobolev_norm_sq, wave_profile
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
-from .quadrules import angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
+from .quadrules import QuadratureError, angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
 
 _PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
 # The d = 4 Schrodinger mixed-norm constant (32 pi)^{-1/4}.
@@ -246,7 +246,8 @@ def spacetime_integral(
     The dimension, the default window, the ridge width (half the
     smallest decay) and the driver (_pick_mode) all come from the fields.
     Panel counts double per level (at most max_levels >= 1 times) until
-    successive passes agree to rel_tol; the returned error adds a
+    successive passes agree to rel_tol, or QuadratureError carries the
+    last level and its difference; the returned error adds a
     window-growth check (both tails extended ext_factor x at the
     accepted level).  For nonnegative
     integrands the two window sizes also drive a power-law tail
@@ -270,6 +271,9 @@ def spacetime_integral(
         if err <= rel_tol * abs(value):
             break
         prev = value
+    else:
+        raise QuadratureError(f"space-time quadrature did not converge in {max_levels} levels",
+                              best=value, error=err)
     if check_window:
         wide = replace(window, t_max=ext_factor * window.t_max, r_max=ext_factor * window.r_max)
         ext = run(F, d, wide, min(level, 1))
@@ -716,7 +720,7 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     Gauss-Legendre grids converge fast; the cutoff comes from the decay
     of g (|g(r)| ~ exp(-decay r^2)).
     """
-    span = math.sqrt(70.0 / (2.0 * checked_decay(decay)))
+    span = math.sqrt(70.0 / (2.0 * checked_positive(decay, "decay")))
     q, wq = _gauss_nodes(n_q, 0.0, 2.0 * span)
     R, wR = _gauss_nodes(n_q, 0.0, 2.0 * span)
     u, wu = angular_nodes(d, n_u)
@@ -753,7 +757,7 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     so tensor Gauss grids converge quickly; the spectral decay of g sets
     the tau cutoff.
     """
-    span = 80.0 / checked_decay(decay)
+    span = 80.0 / checked_positive(decay, "decay")
     tau, wt = _gauss_nodes(100, 0.0, span)
     x, wx = _gauss_nodes(100, 0.0, 1.0)  # q = tau * x
     u, wu = angular_nodes(d, 48)
@@ -786,13 +790,13 @@ def _radial_norm_sq(radial_fn, d: int, power: float, rmax: float) -> float:
 
 def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
-    rmax = 80.0 / checked_decay(decay)
+    rmax = 80.0 / checked_positive(decay, "decay")
     return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rmax)
 
 
 def _schro_norm_rmax(decay: float) -> float:
     """Span of the Schrodinger data-norm rule: e^{-2 decay r^2} < 1e-280 past it."""
-    return math.sqrt(-math.log(1e-280) / (2.0 * checked_decay(decay))) + 3.0
+    return math.sqrt(-math.log(1e-280) / (2.0 * checked_positive(decay, "decay"))) + 3.0
 
 
 def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
@@ -863,12 +867,8 @@ def functional_eq_residual(g, d: int, seed: int = 0) -> float:
         eta1 = rr[:, None] * omega
         return eta1, xi - eta1
 
-    w1 = rng.normal(size=(n_samples, d))
-    w1 /= np.linalg.norm(w1, axis=1, keepdims=True)
-    w2 = rng.normal(size=(n_samples, d))
-    w2 /= np.linalg.norm(w2, axis=1, keepdims=True)
-    e1, e2 = decompose(w1)
-    e3, e4 = decompose(w2)
+    e1, e2 = decompose(unit_directions(rng, n_samples, 1, d)[:, 0])
+    e3, e4 = decompose(unit_directions(rng, n_samples, 1, d)[:, 0])
     g1, g2, g3, g4 = (np.asarray(g(e), dtype=complex) for e in (e1, e2, e3, e4))
     if np.any(np.abs(g1 * g2) < 1e-280) or np.any(np.abs(g3 * g4) < 1e-280):
         raise ValueError("profile vanishes numerically at a sampled point")

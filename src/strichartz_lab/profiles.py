@@ -12,6 +12,7 @@ rather than the quadrature paths.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -24,15 +25,9 @@ from .quadrules import angular_nodes, gauss_nodes
 _N_QUAD = 200
 
 
-def checked_decay(decay: float) -> float:
-    """decay itself; ValueError unless it is finite and positive."""
-    if not (math.isfinite(decay) and decay > 0.0):
-        raise ValueError(f"decay must be finite and > 0, got {decay!r}")
-    return decay
-
-
 def checked_positive(value: float, name: str) -> float:
-    """The decay rule for another positive scale (a bound or a tolerance)."""
+    """value if it is finite and > 0, else ValueError naming it: the one rule for
+    decays, amp_bound, the tolerances, the Scaling factors and the MC width."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
@@ -59,7 +54,12 @@ class ExtremalProfile:
         self.c = complex(self.c)
         if self.sign not in (1, -1):
             raise ValueError("propagator sign must be +1 or -1")
-        checked_decay(-self.a.real)
+        params = [("Im a", self.a.imag)]
+        params += [(f"b[{i}]", complex(v)) for i, v in enumerate(self.b)]
+        for name, value in params + [("c", self.c)]:
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        checked_positive(-self.a.real, "decay")
 
     @property
     def decay(self) -> float:
@@ -313,8 +313,8 @@ def symmetry_apply(g, p: ExtremalProfile) -> ExtremalProfile:
             return replace(p, a=p.a + 1j * p.sign * g.t0, b=p.b + 1j * x0)
         return replace(p, a=p.a - 1j * g.t0, b=p.b + 1j * x0)
     if isinstance(g, Scaling):
-        if g.lam1 <= 0 or g.lam2 <= 0:
-            raise ValueError("scaling parameters must be positive")
+        checked_positive(g.lam1, "lam1")
+        checked_positive(g.lam2, "lam2")
         if p.family == WAVE:
             # |xi| fhat'(xi) = lam1 lam2^{1-d} exp(a|xi|/lam2 + b.xi/lam2 + c)
             c = p.c + math.log(g.lam1) + (1 - d) * math.log(g.lam2)

@@ -46,7 +46,7 @@ import numpy as np
 from scipy import special
 
 from .constants import WAVE, SCHRODINGER, log_sphere_area, sphere_area
-from .profiles import ExtremalProfile, checked_decay, checked_positive
+from .profiles import ExtremalProfile, checked_positive
 from .quadrules import QuadratureError, uniform_panels
 
 # Fixed geometry of the radial quadrature: at least 24 panels (one per
@@ -118,6 +118,13 @@ class QuadSpec:
 DEFAULT_QUAD = QuadSpec()
 
 
+def _gaussian_field(p: ExtremalProfile, w, q):
+    """(2pi)^{-d} e^c (pi/w)^{d/2} e^{-q/(4w)}, the Schrodinger Gaussian field
+    at w = it - a and q = (x - ib).(x - ib); arrays broadcast."""
+    return ((2.0 * math.pi) ** (-p.d) * np.exp(p.c) * (math.pi / w) ** (0.5 * p.d)
+            * np.exp(-q / (4.0 * w)))
+
+
 def _inv_half_power(x, n: int):
     """x ** (-n / 2) from one integer-valued power and at most one square root.
 
@@ -182,7 +189,7 @@ class RadialEvaluator:
         elif radial_fn is None or decay is None or d is None:
             raise ValueError("ansatz evaluators need radial_fn, decay and d")
         self.quad, self.method, self.profile, self._g = quad, method, profile, radial_fn
-        self.decay = checked_decay(float(decay))
+        self.decay = checked_positive(float(decay), "decay")
         self.d, self.family, self.sign = int(d), family, sign
         self.amp_bound = checked_positive(float(amp_bound), "amp_bound")
 
@@ -215,13 +222,7 @@ class RadialEvaluator:
         if self.family == WAVE:
             base = self._wave_z2(t) + r * r
             return np.exp(p.c) * closed_form_kappa(p.d) * _inv_half_power(base, p.d - 1)
-        w = 1j * np.asarray(t, dtype=float)[:, None] - p.a
-        return (
-            (2.0 * math.pi) ** (-p.d)
-            * np.exp(p.c)
-            * (math.pi / w) ** (0.5 * p.d)
-            * np.exp(-r * r / (4.0 * w))
-        )
+        return _gaussian_field(p, 1j * np.asarray(t, dtype=float)[:, None] - p.a, r * r)
 
     @cached_property
     def _abs2_scale(self) -> float:
@@ -444,16 +445,8 @@ def schro_gaussian_eval(p: ExtremalProfile, t: float, x) -> complex:
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     if x.size != p.d:
         raise ValueError("point dimension mismatch")
-    w = 1j * t - p.a
     shifted = x - 1j * p.b
-    quad_form = np.sum(shifted * shifted)
-    val = (
-        (2.0 * math.pi) ** (-p.d)
-        * np.exp(p.c)
-        * (math.pi / w) ** (0.5 * p.d)
-        * np.exp(-quad_form / (4.0 * w))
-    )
-    return complex(val)
+    return complex(_gaussian_field(p, 1j * t - p.a, np.sum(shifted * shifted)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .constants import (
 )
 from .geometry import ConePoint, minkowski_form
 from .mc import mc_mean, row_blocks, row_norm, row_sum, unit_directions
+from .profiles import checked_positive
 from .quadrules import QuadratureError
 
 CLOSED_FORM = "closed_form"
@@ -59,15 +60,12 @@ def _require_interior(p: ConePoint):
 
 
 def log_itilde_unit(d: int, k: int) -> float:
-    """log Itilde_k(1, 0).
+    """log Itilde_k(1, 0) for every k >= 2 (k = 2: the recursion base |S^{d-1}| / 2^{d-2}):
 
-    k = 2:  |S^{d-1}| / 2^{d-2}
-    k >= 3: |S^{d-1}|^{k-1} / 2^{2 alpha(k)+1} * prod_{j=2}^{k-1} B(d-1, alpha(j)+1)
+        |S^{d-1}|^{k-1} / 2^{2 alpha(k)+1} * prod_{j=2}^{k-1} B(d-1, alpha(j)+1)
     """
     if d < 2 or k < 2:
         raise ValueError("need d >= 2 and k >= 2")
-    if k == 2:
-        return log_sphere_area(d) - (d - 2) * math.log(2.0)
     alpha_k = alpha_exponent(d, k)
     logv = (k - 1) * log_sphere_area(d) - (2.0 * float(alpha_k) + 1.0) * math.log(2.0)
     for j in range(2, k):
@@ -171,8 +169,7 @@ def itilde_montecarlo(
     and the rate centers sum |eta_j| on the shell at tau.
     """
     _require_interior(p)
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"need a finite positive smoothing width, got {epsilon!r}")
+    checked_positive(epsilon, "epsilon")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("need n_samples >= 1e4")
     tau, xi = p.tau, np.asarray(p.xi, dtype=float)

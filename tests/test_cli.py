@@ -204,6 +204,21 @@ def test_bilinear_extremal_holds_the_rhs_to_its_closed_form(monkeypatch):
     assert run(argv) == 1
 
 
+def test_bilinear_random_pair_holds_its_lhs_to_the_closed_form_rhs(monkeypatch, tmp_path):
+    out = tmp_path / "bilinear.jsonl"
+    argv = ["bilinear", "--d", "3", "--random-cases", "1", "--samples", "1000", "--out", str(out)]
+
+    def random_passes():
+        run(argv)
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        return [row["pass"] for row in rows if row["case_id"].startswith("random")]
+
+    assert random_passes() == [True]
+    exact = cli.FN.radial_pair_rhs
+    monkeypatch.setattr(cli.FN, "radial_pair_rhs", lambda *ps: 0.5 * exact(*ps))
+    assert random_passes() == [False]
+
+
 def test_schrodinger_identity_suite():
     assert run(["schrodinger-identity", "--grid", "2048"]) == 0
 

@@ -15,7 +15,7 @@ from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import SCHRODINGER, WAVE, sphere_area
 from strichartz_lab.functionals import radial_pair_rhs
-from strichartz_lab.quadrules import angular_nodes, gauss_nodes, panel_nodes
+from strichartz_lab.quadrules import QuadratureError, angular_nodes, gauss_nodes, panel_nodes
 from strichartz_lab.search import AnsatzProfile, symmetry_invariance_audit
 
 QUARTIC_D5 = 1.0 / (6144.0 * math.pi ** 8)
@@ -223,6 +223,15 @@ def test_rejects_a_non_positive_or_non_finite_decay(routine):
     for decay in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="decay must be finite and > 0"):
             _DECAY_ROUTINES[routine](decay)
+
+
+@pytest.mark.parametrize("mode", ["rect", "cone"])
+def test_spacetime_integral_raises_when_its_levels_run_out(mode):
+    evs = [PR.RadialEvaluator(P.wave_profile(5, -1.0)) for _ in range(2)]
+    with pytest.raises(QuadratureError) as exc:
+        FN.spacetime_integral(FN.product_field(evs, modulus=True), evs, rel_tol=1e-17,
+                              max_levels=1, mode=mode)
+    assert math.isfinite(exc.value.best) and math.isfinite(exc.value.error)
 
 
 def test_multilinear_rhs_alpha0_factorization():

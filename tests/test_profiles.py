@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,34 @@ def test_profile_validation():
 def test_decay_rule_is_written_only_in_profiles():
     src = Path(strichartz_lab.__file__).parent
     owners = sorted(p.name for p in src.glob("*.py")
-                    if "decay must be finite" in p.read_text())
+                    if "must be finite and > 0" in p.read_text())
     assert owners == ["profiles.py"]
+    assert not [p.name for p in src.glob("*.py") if "def checked_decay" in p.read_text()]
+
+
+_GOOD_RECORD = P.profile_to_record(P.wave_profile(3, -1.0))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: P.wave_profile(3, complex(-1.0, math.nan)), "Im a"),
+    (lambda: P.wave_profile(3, -1.0, c=math.inf), "c"),
+    (lambda: P.wave_profile(3, -1.0, c=complex(0.0, math.nan)), "c"),
+    (lambda: P.wave_profile(3, -1.0, b=[math.nan, 0.0, 0.0]), "b[0]"),
+    (lambda: P.schrodinger_profile(3, -1.0, b=[0.0, 0.0, complex(0.0, math.inf)]), "b[2]"),
+    (lambda: P.profile_from_record(_GOOD_RECORD.replace("c_re=0", "c_re=nan")), "c"),
+    (lambda: P.symmetry_apply(P.Phase(math.inf), P.wave_profile(3, -1.0)), "c"),
+    (lambda: P.symmetry_apply(P.Translate(t0=math.nan), P.wave_profile(3, -1.0)), "Im a"),
+], ids=["im_a", "c_inf", "c_nan", "b_nan", "b_inf_schro", "record", "phase", "translate"])
+def test_non_finite_parameters_are_rejected_by_name(build, name):
+    with pytest.raises(ValueError, match="^" + re.escape(name) + " must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("name", ["lam1", "lam2"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_scaling_rejects_a_factor_that_is_not_finite_and_positive(name, bad):
+    with pytest.raises(ValueError, match=name):
+        P.symmetry_apply(P.Scaling(**{name: bad}), P.wave_profile(3, -1.0))
 
 
 def test_no_module_imports_inside_a_function():

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from strichartz_lab import mc as MC
 from strichartz_lab import shells as S
-from strichartz_lab.constants import alpha_exponent, beta_fn, sphere_area
+from strichartz_lab.constants import alpha_exponent, beta_fn, log_sphere_area, sphere_area
 from strichartz_lab.geometry import ConePoint, lorentz_boost
 
 
@@ -193,6 +193,11 @@ def test_montecarlo_epsilon_consistency():
     a = S.itilde_montecarlo(3, 2, p, epsilon=1e-3, n_samples=4 * 10 ** 5, seed=3)
     b = S.itilde_montecarlo(3, 2, p, epsilon=5e-4, n_samples=4 * 10 ** 5, seed=4)
     assert abs(a.value - b.value) <= 3.0 * math.hypot(a.stderr, b.stderr)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_k2_unit_shell_is_the_recursion_base_bit_for_bit(d):
+    assert S.log_itilde_unit(d, 2) == log_sphere_area(d) - (d - 2) * math.log(2.0)
 
 
 def test_montecarlo_validation():
