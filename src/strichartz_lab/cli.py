@@ -104,8 +104,8 @@ def _check_shells(args):
     non-finite --epsilon, too few --samples, or a malformed, non-finite or
     exterior --point."""
     d, k = _flag(args, "d", 3), _flag(args, "k", 2)
-    if d < 2:
-        raise ValueError(f"shells needs --d >= 2, got {d}")
+    if d < C.DIM_FLOOR[C.WAVE]:
+        raise ValueError(f"shells needs --d >= {C.DIM_FLOOR[C.WAVE]}, got {d}")
     if k < 2:
         raise ValueError(f"shells needs --k >= 2, got {k}")
     if not 0.0 < args.epsilon < math.inf:
@@ -148,8 +148,8 @@ def _check_bilinear(args):
     k-linear wave estimate with a finite right-hand side and a finite
     Monte Carlo error bar."""
     d, k = _flag(args, "d", 5), _flag(args, "k", 2)
-    if d < 2:
-        raise ValueError(f"bilinear needs --d >= 2, got {d}")
+    if d < C.DIM_FLOOR[C.WAVE]:
+        raise ValueError(f"bilinear needs --d >= {C.DIM_FLOOR[C.WAVE]}, got {d}")
     if k < 2:
         raise ValueError(f"bilinear needs --k >= 2 (a k-linear estimate), got {k}")
     if not C.rhs_finite(C.WAVE, d, k):

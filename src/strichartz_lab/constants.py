@@ -16,10 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 WAVE = "wave"
 SCHRODINGER = "schrodinger"
-FAMILIES = (WAVE, SCHRODINGER)
+# Lowest dimension of each family's sharp estimates (every k >= 2 holds).
+DIM_FLOOR = {WAVE: 2, SCHRODINGER: 1}
+FAMILIES = tuple(DIM_FLOOR)
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_2 = math.log(2.0)
@@ -37,24 +40,26 @@ def sphere_area(d: int) -> float:
     return math.exp(log_sphere_area(d))
 
 
-def _check_scale(d: int, k: int, minimum_d: int) -> None:
-    if d != int(d) or k != int(k):
-        raise ValueError("d and k must be integers")
-    if d < minimum_d:
-        raise ValueError(f"dimension d = {d} below supported minimum {minimum_d}")
-    if k < 2:
-        raise ValueError(f"multilinearity degree k = {k} must be >= 2")
+def check_case(family: str, d: int, k: int = 2) -> None:
+    """The one rule for which case the lab accepts: ValueError naming the bad
+    value unless family is known, d an integer >= its DIM_FLOOR, k one >= 2."""
+    if family not in DIM_FLOOR:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    for name, value, floor in (("d", d, DIM_FLOOR[family]), ("k", k, 2)):
+        if not (isinstance(value, Integral) and value >= floor):
+            raise ValueError(f"the {family} estimates need an integer {name} >= {floor}, "
+                             f"got {name} = {value!r}")
 
 
 def alpha_exponent(d: int, k: int) -> Fraction:
     """Wave interaction exponent (d-1)(k-1)/2 - 1 as an exact rational."""
-    _check_scale(d, k, minimum_d=1)
+    check_case(WAVE, d, k)
     return Fraction((d - 1) * (k - 1), 2) - 1
 
 
 def beta_exponent(d: int, k: int) -> Fraction:
     """Schrodinger interaction exponent d(k-1)/2 - 1 as an exact rational."""
-    _check_scale(d, k, minimum_d=1)
+    check_case(SCHRODINGER, d, k)
     return Fraction(d * (k - 1), 2) - 1
 
 
@@ -68,6 +73,7 @@ def rhs_finite(family: str, d: int, k: int) -> bool:
     codimension d).  K^{2e} is integrable there iff 2e + codimension > 0,
     which fails at wave (2, 2) and Schrodinger (1, 2), both e = -1/2.
     """
+    check_case(family, d, k)
     if family == WAVE:
         return 2 * alpha_exponent(d, k) + d - 1 > 0
     return 2 * beta_exponent(d, k) + d > 0
@@ -93,7 +99,7 @@ def log_wave_sharp_constant(d: int, k: int) -> float:
 
     The k = 2 case coincides with the general formula (empty product).
     """
-    _check_scale(d, k, minimum_d=2)
+    check_case(WAVE, d, k)
     logv = (
         -0.5 * (d - 1) * (k - 1) * LOG_2
         + (1 - d * (2 * k - 1)) * LOG_2PI
@@ -121,7 +127,7 @@ def log_schrodinger_sharp_constant(d: int, k: int) -> float:
 
     Both expressions agree at k = 2; the bilinear form is used there.
     """
-    _check_scale(d, k, minimum_d=1)
+    check_case(SCHRODINGER, d, k)
     if k == 2:
         return -d * LOG_2 + (1 - 3 * d) * LOG_2PI + log_sphere_area(d)
     return log_schrodinger_sharp_constant_klinear(d, k)
@@ -129,7 +135,7 @@ def log_schrodinger_sharp_constant(d: int, k: int) -> float:
 
 def log_schrodinger_sharp_constant_klinear(d: int, k: int) -> float:
     """The general k-linear S(d,k) formula evaluated verbatim (any k >= 2)."""
-    _check_scale(d, k, minimum_d=1)
+    check_case(SCHRODINGER, d, k)
     return (
         math.log(math.pi)
         + (-d * (2 * k - 1)) * LOG_2PI
@@ -157,16 +163,24 @@ def schro_identity_constant() -> float:
 WAVE_ALPHA1_DEGREE = {2: 5, 3: 3, 5: 2}
 
 
+def onefn_degree(family: str, d: int) -> int:
+    """The one lookup of the collapsed one-sided L^{2k} cases: the wave k with
+    alpha(d, k) = 1, else ValueError naming family and d (the Schrodinger
+    beta = 1 collapse is the d = 4 mixed norm, schro_onefn_constant)."""
+    if family != WAVE or d not in WAVE_ALPHA1_DEGREE:
+        raise ValueError(f"the one-function case needs the wave family and d in "
+                         f"{sorted(WAVE_ALPHA1_DEGREE)}, got {family!r} d = {d!r}")
+    return WAVE_ALPHA1_DEGREE[d]
+
+
 def wave_onefn_constant(d: int) -> float:
     """Collapsed constant C(d) with ||u||_{2k}^{2k} <= C * H^{2(k-2)} E^2.
 
-    Here H = ||f||_{H^{1/2}}^2, E = ||f||_{H^1}^2, k = WAVE_ALPHA1_DEGREE[d],
+    Here H = ||f||_{H^{1/2}}^2, E = ||f||_{H^1}^2, k = onefn_degree(WAVE, d),
     and C = k(k-1)/2 * (2pi)^{kd} * W(d,k).  Exact values: C(2) = 5/(12 pi^3),
     C(3) = 3/(16 pi^3), C(5) = 1/(24 pi^2).
     """
-    if d not in WAVE_ALPHA1_DEGREE:
-        raise ValueError(f"no alpha=1 one-function wave case in dimension {d}")
-    k = WAVE_ALPHA1_DEGREE[d]
+    k = onefn_degree(WAVE, d)
     logv = (
         math.log(k * (k - 1) / 2.0)
         + k * d * LOG_2PI
@@ -195,9 +209,7 @@ class EstimateScale:
     family: str
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        _check_scale(self.d, self.k, minimum_d=2 if self.family == WAVE else 1)
+        check_case(self.family, self.d, self.k)
 
     @property
     def exponent(self) -> Fraction:

@@ -141,10 +141,10 @@ def default_window(evaluators, tail_factor: float = 40.0, core: float = 18.0) ->
     A profile with frequency decay sigma has spatial features on scale
     sigma (frequency spread 1/sigma), so window lengths are proportional
     to the largest sigma present; the ridge resolution (cone mode) uses
-    the smallest.  The tails reach past the core only for tail_factor > 1.
+    the smallest.  core > 0; the tails reach past it for tail_factor > 1.
     """
-    if tail_factor <= 1.0:
-        raise ValueError(f"tail_factor must exceed 1, got {tail_factor}")
+    _checked_beyond_one(tail_factor, "tail_factor")
+    checked_positive(core, "core")
     peaks = [t for ev in evaluators for t in ev.t_peaks]
     scale = max(ev.decay for ev in evaluators)
     t_center = 0.5 * (max(peaks) + min(peaks))
@@ -154,6 +154,13 @@ def default_window(evaluators, tail_factor: float = 40.0, core: float = 18.0) ->
     r_linear = spread + t_linear + 10.0 * scale
     r_max = spread + t_max + 10.0 * scale
     return Window(t_center, t_linear, t_max, r_linear, r_max, spread)
+
+
+def _checked_beyond_one(value: float, name: str) -> float:
+    """value if it is finite and > 1 (a window that reaches past the one it scales)."""
+    if not (math.isfinite(value) and value > 1.0):
+        raise ValueError(f"{name} must be finite and > 1, got {value!r}")
+    return value
 
 
 def _geom_edges(lo, hi, n):
@@ -243,12 +250,13 @@ def spacetime_integral(
     space-time of the fields `evaluators` that F is built from.
 
     F maps (t_nodes, r_nodes) to an (nt, nr) array (complex allowed).
-    The dimension, the default window, the ridge width (half the
-    smallest decay) and the driver (_pick_mode) all come from the fields.
+    The dimension, the default window, the default ridge width (half the
+    smallest decay; an explicit one passes checked_positive) and the driver
+    (_pick_mode) come from the fields.
     Panel counts double per level (at most max_levels >= 1 times) until
     successive passes agree to rel_tol, or QuadratureError carries the
     last level and its difference; the returned error adds a
-    window-growth check (both tails extended ext_factor x at the
+    window-growth check (both tails extended ext_factor > 1 x at the
     accepted level).  For nonnegative
     integrands the two window sizes also drive a power-law tail
     completion (exact for cumulative 1/T tails, conservative error
@@ -256,11 +264,13 @@ def spacetime_integral(
     """
     if max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    if check_window:
+        _checked_beyond_one(ext_factor, "ext_factor")
     d = evaluators[0].d
     if window is None:
         window = default_window(evaluators)
-    if ridge_width is None:
-        ridge_width = 0.5 * min(ev.decay for ev in evaluators)
+    ridge_width = (0.5 * min(ev.decay for ev in evaluators) if ridge_width is None
+                   else checked_positive(ridge_width, "ridge_width"))
     peaks = [t for ev in evaluators for t in ev.t_peaks]
     cone = lambda f, dd, w, l: _cone_pass(f, dd, w, l, ridge_width, peaks)
     run = _rect_pass if _pick_mode(evaluators, mode) == "rect" else cone
@@ -327,8 +337,13 @@ def product_field(evaluators, modulus: bool = False):
 # Space-time L^p norms
 
 
-def lp_norm_radial(evaluator, p: int, window: Window = None, rel_tol: float = 1e-6,
-                   mode: str = "auto", **kw):
+def _abs2_product_integral(evaluators, **kw):
+    """int prod_j |u_j|^2 by spacetime_integral(**kw), nonneg by default: both norms' body."""
+    kw.setdefault("nonneg", True)
+    return spacetime_integral(product_field(evaluators, modulus=True), evaluators, **kw)
+
+
+def lp_norm_radial(evaluator, p: int, **kw):
     """||u||_{L^p_{t,x}} for a radial field, p in {4, 6, 10}.
 
     Computed as (int int |u|^p |S^{d-1}| r^{d-1} dr dt)^{1/p}; returns
@@ -344,26 +359,19 @@ def lp_norm_radial(evaluator, p: int, window: Window = None, rel_tol: float = 1e
         raise ValueError(f"||u||_{p} diverges for a single wave field in d = {d}")
     if evaluator.family == SCHRODINGER and d * (p / 2.0 - 1.0) <= 1.0:
         raise ValueError(f"||u||_{p} diverges for a single field in d = {d}")
-    evs = [evaluator] * (p // 2)
-    kw.setdefault("nonneg", True)
-    val, err = spacetime_integral(product_field(evs, modulus=True), evs, window, rel_tol,
-                                  mode, **kw)
+    val, err = _abs2_product_integral([evaluator] * (p // 2), **kw)
     if val <= 0:
         raise ValueError("norm integral came out non-positive")
     norm = val ** (1.0 / p)
     return norm, norm * (err / val) / p
 
 
-def product_l2_sq(evaluators, window: Window = None, rel_tol: float = 1e-6,
-                  mode: str = "auto", **kw):
-    """||prod_j u_j||_{L^2_{t,x}}^2 with error estimate."""
-    kw.setdefault("nonneg", True)
-    return spacetime_integral(product_field(evaluators, modulus=True), evaluators, window,
-                              rel_tol, mode, **kw)
+def product_l2_sq(evaluators, **kw):
+    """||prod_j u_j||_{L^2_{t,x}}^2 with error estimate, by spacetime_integral(**kw)."""
+    return _abs2_product_integral(evaluators, **kw)
 
 
-def spacetime_inner(evals_a, evals_b, window: Window = None, rel_tol: float = 1e-6,
-                    mode: str = "auto", **kw):
+def spacetime_inner(evals_a, evals_b, **kw):
     """< prod A, prod B >_{t,x} = int prod A conj(prod B); complex."""
     evals_a, evals_b = list(evals_a), list(evals_b)
     prod_a, prod_b = product_field(evals_a), product_field(evals_b)
@@ -371,7 +379,7 @@ def spacetime_inner(evals_a, evals_b, window: Window = None, rel_tol: float = 1e
     def F(t, r):
         return prod_a(t, r) * np.conj(prod_b(t, r))
 
-    return spacetime_integral(F, evals_a + evals_b, window, rel_tol, mode, **kw)
+    return spacetime_integral(F, evals_a + evals_b, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +509,9 @@ def term_II(p: ExtremalProfile) -> dict:
     with H = ||f||_{H^{1/2}}^2, E = ||f||_{H^1}^2, k the alpha(k) = 1
     degree for this dimension.  Returns I, II, rhs = I - II, V.
     """
-    if p.family != WAVE:
-        raise ValueError("the I - II split is a wave-side construction")
-    d = p.d
-    if d not in C.WAVE_ALPHA1_DEGREE:
-        raise ValueError(f"no alpha = 1 case in dimension {d}")
+    d, k = p.d, C.onefn_degree(p.family, p.d)
     if not p.admissible:
         raise ValueError("inadmissible profile")
-    k = C.WAVE_ALPHA1_DEGREE[d]
     npairs = k * (k - 1) / 2.0
     twopi_d = (2.0 * math.pi) ** d
     H = twopi_d * sobolev_norm_sq(p, 0.5)
@@ -537,10 +540,7 @@ def onesided_quotient(profile: ExtremalProfile) -> QuotientReport:
     lhs = ||u||_{2k},  rhs = (C(d) H^{k-2} E^2)^{1/(2k)}, so ratio = 1
     exactly on the extremal family (Re b = 0).
     """
-    d = profile.d
-    k = C.WAVE_ALPHA1_DEGREE.get(d)
-    if k is None:
-        raise ValueError(f"no collapsed one-function case in dimension {d}")
+    d, k = profile.d, C.onefn_degree(profile.family, profile.d)
     lhs, lhs_err = lp_norm_radial(RadialEvaluator(profile), 2 * k)
     H = sobolev_norm_sq(profile, 0.5)
     E = sobolev_norm_sq(profile, 1.0)

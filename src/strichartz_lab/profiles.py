@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import WAVE, SCHRODINGER, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, sphere_area
 from .quadrules import angular_nodes, gauss_nodes
 
 # Angular Gauss nodes of the tilted-norm quadratures (8x as many radial).
@@ -43,8 +43,7 @@ class ExtremalProfile:
     sign: int = 1  # +1 rides exp(+it sqrt(-Lap)); -1 the opposite sheet
 
     def __post_init__(self):
-        if self.family not in (WAVE, SCHRODINGER):
-            raise ValueError(f"unknown family {self.family!r}")
+        check_case(self.family, self.d)
         if self.b is None:
             self.b = np.zeros(self.d, dtype=complex)
         self.b = np.atleast_1d(np.asarray(self.b, dtype=complex))
@@ -153,18 +152,13 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
     sigma, beta = p.decay, p.tilt
     d = p.d
     amp = math.exp(2.0 * p.c.real)
-    if s == 0.0:
-        val = (math.pi / (2.0 * sigma)) ** (d / 2.0) * math.exp(beta * beta / (2.0 * sigma))
-        return amp * val / (2.0 * math.pi) ** d
+    if s not in (0.0, 1.0):
+        return _schro_norm_quad(p, s)
+    val = (math.pi / (2.0 * sigma)) ** (d / 2.0) * math.exp(beta * beta / (2.0 * sigma))
     if s == 1.0:
         mlen = beta / (2.0 * sigma)
-        val = (
-            (math.pi / (2.0 * sigma)) ** (d / 2.0)
-            * math.exp(beta * beta / (2.0 * sigma))
-            * (d / (4.0 * sigma) + mlen * mlen)
-        )
-        return amp * val / (2.0 * math.pi) ** d
-    return _schro_norm_quad(p, s)
+        val = val * (d / (4.0 * sigma) + mlen * mlen)
+    return amp * val / (2.0 * math.pi) ** d
 
 
 def _schro_norm_quad(p, s):

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .constants import WAVE, SCHRODINGER, log_sphere_area, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, log_sphere_area, sphere_area
 from .profiles import ExtremalProfile, checked_positive
 from .quadrules import QuadratureError, uniform_panels
 
@@ -180,14 +180,13 @@ class RadialEvaluator:
         if profile is not None:
             if profile.tilt != 0.0:
                 raise ValueError("radial evaluation needs Re(b) = 0")
-            if profile.family == WAVE and not profile.admissible:
-                raise ValueError("inadmissible wave profile")
             if profile.family == SCHRODINGER and np.any(profile.b != 0):
                 raise ValueError("schrodinger radial evaluation needs b = 0")
             radial_fn, decay, d = profile.freq_amplitude, profile.decay, profile.d
             amp_bound, family, sign = math.exp(profile.c.real), profile.family, profile.sign
         elif radial_fn is None or decay is None or d is None:
             raise ValueError("ansatz evaluators need radial_fn, decay and d")
+        check_case(family, d)
         self.quad, self.method, self.profile, self._g = quad, method, profile, radial_fn
         self.decay = checked_positive(float(decay), "decay")
         self.d, self.family, self.sign = int(d), family, sign
@@ -404,14 +403,14 @@ def lambda_diagnostics(p: ExtremalProfile):
     """
     if p.family != WAVE or p.d != 5:
         raise ValueError("diagnostics implemented for d = 5 wave profiles")
-    t_star = -p.a.imag
+    ev = RadialEvaluator(p)
+    t_star = ev.t_peaks[0]
     t_grid = t_star + np.linspace(-2.0, 2.0, 41)
     center = p.center
     axis = np.zeros(p.d)
     axis[0] = 1.0
     x_offsets = np.linspace(-2.0, 2.0, 41)
     # The point center + s * axis lies at distance |s| from the center.
-    ev = RadialEvaluator(p)
     vals = np.abs(ev.eval_grid(t_grid, np.abs(x_offsets)))
     it, ix = np.unravel_index(np.argmax(vals), vals.shape)
     # Center-line polynomial: sample and fit degree 4 in shifted time.

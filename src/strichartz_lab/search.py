@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .constants import WAVE, SCHRODINGER, wave_onefn_constant
+from .constants import WAVE, SCHRODINGER, check_case, wave_onefn_constant
 from . import functionals as FN
 from .mc import chunk_generator
 from .profiles import symmetry_apply
@@ -79,8 +79,7 @@ class AnsatzProfile:
             raise ValueError(f"ansatz needs 1..{_MAX_M} coefficients")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("ansatz coefficients must be finite")
-        if self.family not in (WAVE, SCHRODINGER):
-            raise ValueError(f"unknown family {self.family!r}")
+        check_case(self.family, self.d)
 
     @property
     def decay_power(self) -> int:

@@ -22,13 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .constants import (
-    alpha_exponent,
-    beta_exponent,
-    log_beta_fn,
-    log_sphere_area,
-    sphere_area,
-)
+from .constants import (SCHRODINGER, WAVE, alpha_exponent, beta_exponent, check_case,
+                        log_beta_fn, log_sphere_area, sphere_area)
 from .geometry import ConePoint, minkowski_form
 from .mc import mc_mean, row_blocks, row_norm, row_sum, unit_directions
 from .profiles import checked_positive
@@ -64,8 +59,6 @@ def log_itilde_unit(d: int, k: int) -> float:
 
         |S^{d-1}|^{k-1} / 2^{2 alpha(k)+1} * prod_{j=2}^{k-1} B(d-1, alpha(j)+1)
     """
-    if d < 2 or k < 2:
-        raise ValueError("need d >= 2 and k >= 2")
     alpha_k = alpha_exponent(d, k)
     logv = (k - 1) * log_sphere_area(d) - (2.0 * float(alpha_k) + 1.0) * math.log(2.0)
     for j in range(2, k):
@@ -75,6 +68,7 @@ def log_itilde_unit(d: int, k: int) -> float:
 
 def itilde_closed(d: int, k: int, p: ConePoint) -> ShellResult:
     """Closed form Itilde_k(tau, xi) = rho^{alpha(k)} Itilde_k(1, 0)."""
+    check_case(WAVE, d, k)
     _require_interior(p)
     alpha_k = float(alpha_exponent(d, k))
     value = math.exp(log_itilde_unit(d, k) + alpha_k * math.log(minkowski_form(p)))
@@ -137,9 +131,8 @@ def itilde_recursive(d: int, k: int, p: ConePoint, tol: float = 1e-10) -> ShellR
     iterated down to the k = 2 base |S^{d-1}|/2^{d-2}; each level's
     radial integral is quadrature, never the Beta closed form.
     """
+    check_case(WAVE, d, k)
     _require_interior(p)
-    if k < 2:
-        raise ValueError("need k >= 2")
     log_unit = log_sphere_area(d) - (d - 2) * math.log(2.0)
     for j in range(3, k + 1):
         radial = _radial_recursion_integral(d, alpha_exponent(d, j - 1), tol)
@@ -168,6 +161,7 @@ def itilde_montecarlo(
     r^{d-2} dr of the integrand exactly (so it cancels from the weights)
     and the rate centers sum |eta_j| on the shell at tau.
     """
+    check_case(WAVE, d, k)
     _require_interior(p)
     checked_positive(epsilon, "epsilon")
     if n_samples < MIN_MC_SAMPLES:
@@ -232,8 +226,7 @@ def schro_shell(d: int, k: int, tau: float, xi) -> SchroShell:
     taken through the point; it is point-independent, and at k = 2 equals
     2^{-d} |S^{d-1}|.
     """
-    if d < 1 or k < 2:
-        raise ValueError("need d >= 1 and k >= 2")
+    check_case(SCHRODINGER, d, k)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     gap = k * tau - float(np.dot(xi, xi))
     if gap <= 0.0:

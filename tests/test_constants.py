@@ -1,13 +1,21 @@
 """Closed-form constants against independent high-precision evaluation."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from strichartz_lab import constants as C
+from strichartz_lab import functionals as FN
+from strichartz_lab import profiles as P
+from strichartz_lab import propagators as PR
+from strichartz_lab import shells as SH
+from strichartz_lab.geometry import ConePoint
+from strichartz_lab.search import AnsatzProfile
 
 
 def test_sphere_areas_known_values():
@@ -195,3 +203,65 @@ def test_constants_csv_export(tmp_path):
     assert float(sample[4]) == pytest.approx(rows[0]["constant"], rel=1e-14)
     # wave d >= 2 only, schrodinger from d = 2 here per default range
     assert all(r["family"] in C.FAMILIES for r in rows)
+
+
+def _floor_comparisons(tree):
+    """Lines comparing a dimension d (a name or a .d attribute) with 1 or 2
+    by <, <=, > or >=: a dimension floor written out."""
+    ordered = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in operands}
+        floors = {n.value for n in operands if isinstance(n, ast.Constant)} & {1, 2}
+        if "d" in names and floors and any(isinstance(op, ordered) for op in node.ops):
+            yield node.lineno
+
+
+def test_case_rule_is_written_only_in_constants():
+    # One owner decides which (family, d, k) is a case: no other module
+    # names an unknown family or writes a dimension floor of its own.
+    src = Path(C.__file__).parent
+    owners = sorted(p.name for p in src.glob("*.py") if "unknown family" in p.read_text())
+    assert owners == ["constants.py"]
+    floors = {p.name: list(_floor_comparisons(ast.parse(p.read_text())))
+              for p in src.glob("*.py") if p.name != "constants.py"}
+    assert not {name: lines for name, lines in floors.items() if lines}
+    assert not [p.name for p in src.glob("*.py")
+                if "minimum_d" in p.read_text() or "_check_scale" in p.read_text()]
+    assert C.FAMILIES == tuple(C.DIM_FLOOR) == (C.WAVE, C.SCHRODINGER)
+
+
+def _radial(r):
+    return np.exp(-np.asarray(r) ** 2)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: P.ExtremalProfile(C.WAVE, 0, -1.0), "d = 0"),
+    (lambda: P.ExtremalProfile(C.WAVE, 1, -1.0), "d = 1"),
+    (lambda: P.ExtremalProfile(C.SCHRODINGER, 0, -1.0), "d = 0"),
+    (lambda: AnsatzProfile([0.0], 1, C.WAVE), "d = 1"),
+    (lambda: PR.RadialEvaluator(radial_fn=_radial, decay=1.0, d=3, family="heat"), "'heat'"),
+    (lambda: SH.itilde_montecarlo(3, 1, ConePoint(1.0, np.zeros(3))), "k = 1"),
+    (lambda: FN.onesided_quotient(P.schrodinger_profile(3, -1.0)), "'schrodinger'"),
+], ids=["wave_d0", "wave_d1", "schro_d0", "ansatz_wave_d1", "evaluator_heat",
+        "montecarlo_k1", "onesided_schro"])
+def test_out_of_domain_inputs_raise_naming_the_bad_value(build, bad):
+    # Each of these once returned a plausible number (or an IndexError).
+    with pytest.raises(ValueError, match=bad):
+        build()
+
+
+def test_one_lookup_decides_the_one_function_case():
+    assert [C.onefn_degree(C.WAVE, d) for d in (2, 3, 5)] == [5, 3, 2]
+    messages = set()
+    for call in (lambda: C.wave_onefn_constant(4),
+                 lambda: FN.term_II(P.wave_profile(4, -1.0)),
+                 lambda: FN.onesided_quotient(P.wave_profile(4, -1.0))):
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    with pytest.raises(ValueError) as want:
+        C.onefn_degree(C.WAVE, 4)
+    assert messages == {str(want.value)}

@@ -1,5 +1,6 @@
 """Space-time norms, multilinear right-hand sides, quotients, residuals."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -55,6 +56,34 @@ def test_default_window_needs_tails_beyond_the_core(ev5, tail_factor):
     # At tail_factor <= 1 the geometric tails would run backwards.
     with pytest.raises(ValueError, match="tail_factor"):
         FN.default_window([ev5], tail_factor=tail_factor)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("core", -5.0), ("core", 0.0), ("core", math.nan), ("core", math.inf),
+    ("tail_factor", math.nan), ("tail_factor", math.inf),
+])
+def test_default_window_rejects_a_scale_by_name(ev5, name, value):
+    # core = -5 once gave product_l2_sq a negative squared norm, core = 0 a
+    # ZeroDivisionError and a nan a "cannot convert float NaN" message.
+    with pytest.raises(ValueError, match=name):
+        FN.default_window([ev5], **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ext_factor", 1.0), ("ext_factor", 0.5), ("ext_factor", math.nan),
+    ("ext_factor", math.inf), ("ridge_width", 0.0), ("ridge_width", -0.4),
+    ("ridge_width", math.nan),
+])
+def test_spacetime_driver_rejects_a_scale_by_name(ev5, name, value):
+    # ext_factor = 0.5 once returned the value of a shrunken window and 1 a
+    # ZeroDivisionError; ridge_width = 0 an OverflowError.
+    with pytest.raises(ValueError, match=name):
+        FN.product_l2_sq([ev5, ev5], **{name: value})
+
+
+def test_driver_defaults_live_only_in_spacetime_integral():
+    for fn in (FN.lp_norm_radial, FN.product_l2_sq, FN.spacetime_inner):
+        assert not {"window", "rel_tol", "mode"} & set(inspect.signature(fn).parameters)
 
 
 def test_d3_sextic_equals_sobolev_product():

@@ -297,6 +297,15 @@ def test_lambda_amplitude_and_diagnostics():
     assert diag["const_term"] == pytest.approx(diag["expected_const_term"], rel=1e-6)
 
 
+def test_lambda_diagnostics_centre_on_the_field_peak_of_either_sheet():
+    # On the - sheet the centre-line peak sits at t = +Im a, where the
+    # quartic in shifted time has constant term Re(a)^4.
+    diag = PR.lambda_diagnostics(P.wave_profile(5, -1.0 + 0.7j, sign=-1))
+    assert diag["expected_argmax_t"] == pytest.approx(0.7, abs=1e-15)
+    assert diag["argmax_t"] == pytest.approx(0.7, abs=1e-12)
+    assert diag["const_term"] == pytest.approx(1.0, abs=1e-6)
+
+
 def test_lambda_diagnostics_separate_profiles():
     # The diagnostic triple (argmax, lead coeff, const term) distinguishes
     # two random admissible profiles with different (a, b, Re c).

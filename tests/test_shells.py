@@ -42,6 +42,19 @@ def test_itilde_domain_error():
         S.itilde_recursive(3, 2, pt(0.5, 1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("d, k", [(1, 2), (3, 1)])
+def test_cone_shell_routes_share_one_case_rule(d, k):
+    # The recursion once returned 4.0 at (1, 2), where the closed form
+    # raised, and the Monte Carlo route failed with an IndexError at (3, 1).
+    point = ConePoint(1.0, np.zeros(d))
+    messages = set()
+    for route in (S.itilde_closed, S.itilde_recursive, S.itilde_montecarlo):
+        with pytest.raises(ValueError) as err:
+            route(d, k, point)
+        messages.add(str(err.value))
+    assert len(messages) == 1 and ("d = 1" if d == 1 else "k = 1") in messages.pop()
+
+
 def test_recursion_matches_closed_form():
     cases = [(3, 3), (2, 3), (2, 4), (2, 5), (4, 3), (5, 4), (3, 4)]
     for d, k in cases:
