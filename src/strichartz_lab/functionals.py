@@ -20,7 +20,7 @@ import numpy as np
 from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
-from .mc import McEstimate, chunk_generator, mc_mean, unit_directions
+from .mc import McEstimate, blockwise, chunk_generator, mc_mean, unit_directions
 from .profiles import ExtremalProfile, checked_positive, sobolev_norm_sq, wave_profile
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
 from .quadrules import QuadratureError, angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
@@ -254,14 +254,15 @@ def spacetime_integral(
     smallest decay; an explicit one passes checked_positive) and the driver
     (_pick_mode) come from the fields.
     Panel counts double per level (at most max_levels >= 1 times) until
-    successive passes agree to rel_tol, or QuadratureError carries the
-    last level and its difference; the returned error adds a
-    window-growth check (both tails extended ext_factor > 1 x at the
-    accepted level).  For nonnegative
+    successive passes agree to rel_tol (finite and > 0), or
+    QuadratureError carries the last level and its difference; the
+    returned error adds a window-growth check (both tails extended
+    ext_factor > 1 x at the accepted level).  For nonnegative
     integrands the two window sizes also drive a power-law tail
     completion (exact for cumulative 1/T tails, conservative error
     otherwise), which matters for the slowly decaying d = 2 sextics.
     """
+    checked_positive(rel_tol, "rel_tol")
     if max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     if check_window:
@@ -424,7 +425,10 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
 
         def sample_weights(rng, m):
             radii = rng.gamma(shape=d - 1, scale=1.0, size=(m, k)) / rates[None, :]
-            eta = radii[:, :, None] * unit_directions(rng, m, k, d)
+            return blockwise(block_weights, radii, unit_directions(rng, m, k, d))
+
+        def block_weights(radii, dirs):
+            eta = radii[:, :, None] * dirs
             # exponent 2 Re(b_j).eta_j - 2 |Re b_j| r_j <= 0
             expo = 2.0 * (np.einsum("jd,mjd->m", bvecs, eta) - np.einsum("j,mj->m", tilts, radii))
             w = np.exp(expo + log_const)
@@ -444,14 +448,17 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
         )
 
         def sample_weights(rng, m):
-            eta = means[None, :, :] + rng.normal(size=(m, k, d)) / np.sqrt(
-                4.0 * sigmas[None, :, None]
-            )
-            w = np.full(m, math.exp(log_const))
+            return blockwise(block_weights, rng.normal(size=(m, k, d)))
+
+        def block_weights(z):
+            eta = means[None, :, :] + z / np.sqrt(4.0 * sigmas[None, :, None])
+            w = np.full(len(z), math.exp(log_const))
             if beta != 0.0:
                 w = w * schro_weight_sq_batch(eta) ** beta
             return w
 
+    # A chunk's samples are drawn whole, so those of a given (seed, n) do
+    # not depend on the row blocks its weights are built in.
     return mc_mean(sample_weights, n_samples, seed)
 
 

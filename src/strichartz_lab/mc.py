@@ -68,6 +68,14 @@ def row_blocks(m: int) -> list:
     return [slice(lo, lo + ROW_BLOCK) for lo in range(0, m, ROW_BLOCK)]
 
 
+def blockwise(weights, *arrays) -> np.ndarray:
+    """weights(*(a[rows] for a in arrays)) over the row_blocks of the
+    arrays' common first axis, concatenated: per-sample weights keep their
+    bits, and their temporaries are sized by a block, not by the arrays."""
+    return np.concatenate([weights(*(a[rows] for a in arrays))
+                           for rows in row_blocks(len(arrays[0]))])
+
+
 def row_sum(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=-1), bit for bit, from the columns of a."""
     if a.shape[-1] >= ORDERED_TERMS:

@@ -17,9 +17,9 @@ same rules.  A block's base rung is only the coarse reference of its
 first difference: the value it accepts comes from level 1 or above, so
 from at least two panels per period.  Refinement is rung-major: the
 rungs are walked upward once, each rung's kernel matrix A_d(rho r) is
-built once (in rho chunks) and shared by every block waiting on it, and
-a block stops when two of its levels agree.  For the exponential family
-the integral is also elementary,
+built once (2 MB of rho rows at a time) and shared by every block waiting
+on it, and a block stops when two of its levels agree.  For the
+exponential family the integral is also elementary,
 
     u(t, r) = e^c kappa_d ((-(a + i s t))^2 + r^2)^{-(d-1)/2},
     kappa_d = Gamma((d+1)/2) / ((d-1) pi^{(d+1)/2}),
@@ -51,13 +51,14 @@ from .quadrules import QuadratureError, uniform_panels
 
 # Fixed geometry of the radial quadrature: at least 24 panels (one per
 # oscillation period on a block's base rung, see _base_rung), 48-row time
-# blocks, kernel matrices built in chunks of at most 4e6 entries, and at
-# most seven rungs above a block's base rung: the base sits at most one
-# rung below the two-panels-per-period rung, so a block gives up no lower
-# than six rungs above that rung.
+# blocks, and at most seven rungs above a block's base rung: the base sits
+# at most one rung below the two-panels-per-period rung, so a block gives
+# up no lower than six rungs above that rung.  Kernel matrices are built in
+# rho blocks of at most 2 MB (2^18 float64 entries, at least one rho row),
+# so the working set of a rung is a few such blocks whatever the grid.
 _MIN_PANELS = 24
 _T_BLOCK = 48
-_KERNEL_CHUNK = 4_000_000
+_KERNEL_BLOCK_BYTES = 1 << 21
 _MAX_LEVELS = 7
 
 
@@ -70,16 +71,29 @@ def angular_kernel(d: int, s):
     """
     s = np.asarray(s, dtype=float)
     # The elementary forms divide by s: evaluate them everywhere and
-    # overwrite the entries with |s| < 0.05 by the series below.
+    # overwrite the entries with |s| < 0.05 by the series below.  They are
+    # built in place, in the operation order of the written formulas
+    # (e.g. d = 3: (4 pi sin s) / s), so one output array and at most one
+    # scratch array of s's size exist at a time.
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 2:
-            out = 2.0 * math.pi * special.j0(s)
+            out = special.j0(s)
+            out *= 2.0 * math.pi
         elif d == 3:
-            out = 4.0 * math.pi * np.sin(s) / s
+            out = np.sin(s)
+            out *= 4.0 * math.pi
+            out /= s
         elif d == 4:
-            out = (2.0 * math.pi) ** 2 * special.j1(s) / s
+            out = special.j1(s)
+            out *= (2.0 * math.pi) ** 2
+            out /= s
         elif d == 5:
-            out = 8.0 * math.pi ** 2 * (np.sin(s) / s - np.cos(s)) / s ** 2
+            out = np.sin(s)
+            out /= s
+            tmp = np.cos(s)
+            out -= tmp
+            out *= 8.0 * math.pi ** 2
+            out /= np.square(s, out=tmp)
         else:
             nu = 0.5 * (d - 2)
             out = (2.0 * math.pi) ** (0.5 * d) * special.jv(nu, np.abs(s)) / np.abs(s) ** nu
@@ -267,15 +281,20 @@ class RadialEvaluator:
             return rho, self.sign * rho, g * rho ** (self.d - 2) * w
         return rho, -(rho * rho), g * rho ** (self.d - 1) * w
 
-    def _add_chunk(self, acc, rows, rho, freq, core, r):
+    def _add_chunk(self, acc, rows, rho, freq, core, r, phase):
         """acc[b] += [Re; Im](exp(i t_b freq) core) @ A_d(rho r) for every
         block b with time rows t_b in `rows`, from one kernel matrix (a
-        local, so it is freed before the next chunk's is built)."""
+        local, so it is freed before the next rho block's is built).  The
+        [Re; Im] rows are written into the front of the flat real buffer
+        `phase` of 2 * _T_BLOCK * (largest rho block) entries."""
         kernel = angular_kernel(self.d, np.outer(rho, r))
         for b, tb in rows.items():
             part = np.exp(1j * np.outer(tb, freq))
             part *= core
-            acc[b] += np.concatenate((part.real, part.imag)) @ kernel
+            stacked = phase[: 2 * part.size].reshape(2 * tb.size, rho.size)
+            stacked[: tb.size] = part.real
+            stacked[tb.size :] = part.imag
+            acc[b] += stacked @ kernel
 
     def _quad_blocks(self, t, r):
         """u and its refinement error on t x r by the rung-major radial
@@ -295,18 +314,19 @@ class RadialEvaluator:
         errs = np.empty((t.size, r.size))
         prev = [None] * len(blocks)
         pending = list(range(len(blocks)))
-        step = max(1, int(_KERNEL_CHUNK // r.size))
+        step = max(1, _KERNEL_BLOCK_BYTES // (8 * r.size))
         norm = (2.0 * math.pi) ** self.d
         rung = 0
         while pending:
             rung = max(rung, min(base[b] for b in pending))
             waiting = [b for b in pending if base[b] <= rung]
             rho, freq, core = self._rung_weights(R, rung)
+            phase = np.empty(2 * _T_BLOCK * min(step, rho.size))
             rows = {b: t[blocks[b]] for b in waiting}
             acc = {b: np.zeros((2 * tb.size, r.size)) for b, tb in rows.items()}
             for j0 in range(0, rho.size, step):
                 sl = slice(j0, j0 + step)
-                self._add_chunk(acc, rows, rho[sl], freq[sl], core[sl], r)
+                self._add_chunk(acc, rows, rho[sl], freq[sl], core[sl], r, phase)
             for b in waiting:
                 n = blocks[b].size
                 cur = (acc[b][:n] + 1j * acc[b][n:]) / norm

@@ -25,7 +25,7 @@ from scipy import integrate
 from .constants import (SCHRODINGER, WAVE, alpha_exponent, beta_exponent, check_case,
                         log_beta_fn, log_sphere_area, sphere_area)
 from .geometry import ConePoint, minkowski_form
-from .mc import mc_mean, row_blocks, row_norm, row_sum, unit_directions
+from .mc import blockwise, mc_mean, row_norm, row_sum, unit_directions
 from .profiles import checked_positive
 from .quadrules import QuadratureError
 
@@ -49,7 +49,14 @@ class ShellResult:
             raise ValueError("deterministic methods carry stderr = 0")
 
 
-def _require_interior(p: ConePoint):
+def _check_dim(d: int, xi) -> None:
+    if len(xi) != d:
+        raise ValueError(f"xi has {len(xi)} coordinates, the case has d = {d}")
+
+
+def _check_point(d: int, p: ConePoint) -> None:
+    """ValueError unless p is a d-dimensional point strictly inside the cone."""
+    _check_dim(d, p.xi)
     if not p.interior:
         raise ValueError("shell formulas require tau > |xi|")
 
@@ -69,7 +76,7 @@ def log_itilde_unit(d: int, k: int) -> float:
 def itilde_closed(d: int, k: int, p: ConePoint) -> ShellResult:
     """Closed form Itilde_k(tau, xi) = rho^{alpha(k)} Itilde_k(1, 0)."""
     check_case(WAVE, d, k)
-    _require_interior(p)
+    _check_point(d, p)
     alpha_k = float(alpha_exponent(d, k))
     value = math.exp(log_itilde_unit(d, k) + alpha_k * math.log(minkowski_form(p)))
     return ShellResult(value, CLOSED_FORM)
@@ -81,7 +88,7 @@ def i_weighted(d: int, k: int, p: ConePoint) -> ShellResult:
     Point-independent: 2^{-(d-1)/2}|S^{d-1}| at k = 2 and
     2^{-(alpha(k)+1)}|S^{d-1}|^{k-1} prod B(d-1, alpha(j)+1) for k >= 3.
     """
-    _require_interior(p)
+    _check_point(d, p)
     alpha_k = float(alpha_exponent(d, k))
     rho = minkowski_form(p)
     itilde = itilde_closed(d, k, p).value
@@ -132,7 +139,7 @@ def itilde_recursive(d: int, k: int, p: ConePoint, tol: float = 1e-10) -> ShellR
     radial integral is quadrature, never the Beta closed form.
     """
     check_case(WAVE, d, k)
-    _require_interior(p)
+    _check_point(d, p)
     log_unit = log_sphere_area(d) - (d - 2) * math.log(2.0)
     for j in range(3, k + 1):
         radial = _radial_recursion_integral(d, alpha_exponent(d, j - 1), tol)
@@ -162,7 +169,7 @@ def itilde_montecarlo(
     and the rate centers sum |eta_j| on the shell at tau.
     """
     check_case(WAVE, d, k)
-    _require_interior(p)
+    _check_point(d, p)
     checked_positive(epsilon, "epsilon")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("need n_samples >= 1e4")
@@ -200,7 +207,7 @@ def itilde_montecarlo(
     def sample_weights(rng, m):
         radii = rng.gamma(shape=d - 1, scale=1.0 / rate, size=(m, k - 1))
         dirs = unit_directions(rng, m, k - 1, d)
-        return np.concatenate([block_weights(radii[rows], dirs[rows]) for rows in row_blocks(m)])
+        return blockwise(block_weights, radii, dirs)
 
     est = mc_mean(sample_weights, n_samples, seed)
     return ShellResult(est.mean, MONTE_CARLO, est.stderr)
@@ -228,6 +235,7 @@ def schro_shell(d: int, k: int, tau: float, xi) -> SchroShell:
     """
     check_case(SCHRODINGER, d, k)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    _check_dim(d, xi)
     gap = k * tau - float(np.dot(xi, xi))
     if gap <= 0.0:
         raise ValueError("paraboloid shell needs k tau > |xi|^2")

@@ -4,6 +4,8 @@ Each fixture runs one expensive computation once per test session; every
 test keeps its own assertions and tolerances on the shared result.
 """
 
+import tracemalloc
+
 import pytest
 
 from strichartz_lab import functionals as FN
@@ -28,3 +30,17 @@ def nested_quartic_d5():
     win = FN.default_window([PR.RadialEvaluator(prof)], tail_factor=4.0)
     return FN.product_l2_sq([evq, evq], window=win, rel_tol=3e-4,
                             mode="rect", check_window=False, max_levels=3)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args, **kw): the tracemalloc peak in bytes of one call
+    (numpy reports its array buffers to tracemalloc)."""
+    def peak(fn, *args, **kw):
+        tracemalloc.start()
+        try:
+            fn(*args, **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

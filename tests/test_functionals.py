@@ -81,6 +81,16 @@ def test_spacetime_driver_rejects_a_scale_by_name(ev5, name, value):
         FN.product_l2_sq([ev5, ev5], **{name: value})
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan])
+def test_spacetime_driver_rejects_rel_tol_before_its_first_pass(ev5, rel_tol):
+    # These once ran every level and then raised QuadratureError.
+    def field(t, r):
+        raise AssertionError("a pass ran")
+
+    with pytest.raises(ValueError, match="rel_tol"):
+        FN.spacetime_integral(field, [ev5], rel_tol=rel_tol)
+
+
 def test_driver_defaults_live_only_in_spacetime_integral():
     for fn in (FN.lp_norm_radial, FN.product_l2_sq, FN.spacetime_inner):
         assert not {"window", "rel_tol", "mode"} & set(inspect.signature(fn).parameters)
@@ -337,6 +347,30 @@ def test_multilinear_rhs_directions_are_bit_identical_to_the_reference(d, monkey
             mp.setattr(FN, "unit_directions", _reference_unit_directions)
             want = FN.multilinear_rhs(tup, n_samples=n, seed=d)
         assert (got.mean, got.stderr) == (want.mean, want.stderr), (len(tup), n)
+
+
+_RHS_TUPLES = {
+    WAVE: [P.wave_profile(5, -1.0, b=[0.3, 0.0, 0.0, 0.0, 0.0]),
+           P.wave_profile(5, complex(-1.2, 0.4), c=0.1j)],
+    SCHRODINGER: [P.schrodinger_profile(3, complex(-1.0, 0.3), b=[0.2, 0.0, 0.0]),
+                  P.schrodinger_profile(3, -0.7), P.schrodinger_profile(3, -1.3, c=0.2)],
+}
+
+
+@pytest.mark.parametrize("family", [WAVE, SCHRODINGER])
+@pytest.mark.parametrize("n", [1, 2 ** 14 - 1, 2 ** 14 + 1, 5 * 10 ** 4, 2 ** 17 + 3])
+def test_multilinear_rhs_row_blocks_are_bit_identical_to_whole_chunks(family, n, monkeypatch):
+    got = FN.multilinear_rhs(_RHS_TUPLES[family], n_samples=n, seed=9)
+    monkeypatch.setattr(MC, "ROW_BLOCK", MC.CHUNK)
+    want = FN.multilinear_rhs(_RHS_TUPLES[family], n_samples=n, seed=9)
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+
+def test_multilinear_rhs_working_set_is_a_row_block(traced_peak):
+    # One chunk of 2^17 samples at (5, 2): the weights once took 29.4 MB
+    # of temporaries over the whole chunk; in row blocks 16.9 MB.
+    p = P.wave_profile(5, -1.0)
+    assert traced_peak(FN.multilinear_rhs, [p, p], n_samples=MC.CHUNK, seed=0) <= 20e6
 
 
 @pytest.mark.parametrize("d, seed", [(3, 31), (4, 41), (5, 51)])

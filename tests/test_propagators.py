@@ -84,6 +84,34 @@ def test_angular_kernel_equals_the_masked_form_without_warnings(d):
     assert np.array_equal(got_grid, _masked_angular_kernel(d, grid))
 
 
+def test_quadrature_working_set_is_a_few_kernel_blocks(traced_peak):
+    # The traced peak was 63.0 MB here when a kernel chunk held up to 4e6
+    # entries and made four or five temporaries of that size; 2 MB blocks
+    # built in place leave the grid's own arrays and a few blocks (20.1 MB).
+    ev = PR.RadialEvaluator(P.wave_profile(5, -1.0), method="quadrature",
+                            quad=PR.QuadSpec(1e-6, 1e-11))
+    t, r = np.linspace(-6.0, 6.0, 576), np.linspace(0.0, 10.0, 448)
+    assert traced_peak(ev.eval_grid, t, r) <= 24e6
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_kernel_blocks_only_regroup_the_rho_sum(d, monkeypatch):
+    ev = PR.RadialEvaluator(P.wave_profile(d, complex(-1.0, 0.3), c=0.2), method="quadrature",
+                            quad=PR.QuadSpec(1e-6, 1e-11))
+    t, r = np.linspace(-6.0, 6.0, 96), np.linspace(0.0, 10.0, 448)
+    calls = []
+    add = PR.RadialEvaluator._add_chunk
+    monkeypatch.setattr(PR.RadialEvaluator, "_add_chunk",
+                        lambda self, *args: calls.append(1) or add(self, *args))
+    blocked = ev.eval_grid(t, r)
+    n_blocked = len(calls)
+    calls.clear()
+    monkeypatch.setattr(PR, "_KERNEL_BLOCK_BYTES", 1 << 40)  # one block per rung
+    whole = ev.eval_grid(t, r)
+    assert len(calls) < n_blocked
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(periods=st.floats(0.0, 1e5), level=st.integers(0, 6))
 def test_rung_ladder_never_uses_fewer_panels(periods, level):

@@ -213,6 +213,22 @@ def test_k2_unit_shell_is_the_recursion_base_bit_for_bit(d):
     assert S.log_itilde_unit(d, 2) == log_sphere_area(d) - (d - 2) * math.log(2.0)
 
 
+_SHORT_POINT = ConePoint(1.0, np.zeros(2))  # two coordinates, for d = 3 cases
+
+
+@pytest.mark.parametrize("call", [
+    lambda: S.itilde_closed(3, 2, _SHORT_POINT),
+    lambda: S.i_weighted(3, 2, _SHORT_POINT),
+    lambda: S.itilde_recursive(3, 3, _SHORT_POINT),
+    lambda: S.itilde_montecarlo(3, 2, _SHORT_POINT, n_samples=10 ** 4),
+    lambda: S.schro_shell(3, 2, 1.0, np.zeros(2)),
+], ids=["closed", "weighted", "recursion", "monte_carlo", "paraboloid"])
+def test_shell_routes_reject_a_point_of_another_dimension(call):
+    # The closed form once returned 2 pi here, and Monte Carlo an IndexError.
+    with pytest.raises(ValueError, match="xi has 2 coordinates, the case has d = 3"):
+        call()
+
+
 def test_montecarlo_validation():
     p = pt(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
