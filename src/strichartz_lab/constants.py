@@ -40,15 +40,34 @@ def sphere_area(d: int) -> float:
     return math.exp(log_sphere_area(d))
 
 
-def check_case(family: str, d: int, k: int = 2) -> None:
-    """The one rule for which case the lab accepts: ValueError naming the bad
-    value unless family is known, d an integer >= its DIM_FLOOR, k one >= 2."""
+def check_case(family: str, d: int, k: int = 2, serves=FAMILIES) -> None:
+    """The one rule for which case the lab accepts: ValueError naming the bad value
+    unless family is known and served, d an integer >= its DIM_FLOOR, k one >= 2."""
     if family not in DIM_FLOOR:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    if family not in serves:
+        raise ValueError(f"this routine serves the {' and '.join(serves)} family, got {family!r}")
     for name, value, floor in (("d", d, DIM_FLOOR[family]), ("k", k, 2)):
         if not (isinstance(value, Integral) and value >= floor):
             raise ValueError(f"the {family} estimates need an integer {name} >= {floor}, "
                              f"got {name} = {value!r}")
+
+
+def case_of(items, serves=FAMILIES):
+    """(family, d) shared by every profile or field of items, checked by
+    check_case; ValueError naming the first pair that differs."""
+    case, *rest = [(item.family, item.d) for item in items]
+    for other in rest:
+        if other != case:
+            raise ValueError(f"the fields of one case share (family, d), got {case} and {other}")
+    check_case(*case, serves=serves)
+    return case
+
+
+def check_length(name: str, vec, d: int) -> None:
+    """ValueError unless vec has d coordinates, one per dimension of the case."""
+    if len(vec) != d:
+        raise ValueError(f"{name} has {len(vec)} coordinates, the case has d = {d}")
 
 
 def alpha_exponent(d: int, k: int) -> Fraction:

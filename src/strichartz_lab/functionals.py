@@ -98,12 +98,12 @@ def json_line(obj: dict) -> str:
 class MappedEvaluator:
     """Pointwise map fn(u_1, ..., u_m) of co-centred radial fields of one
     family: np.add(u_+, u_-) for the sum, np.conj(u) (same modulus,
-    reversed phases) or np.negative(u).  d and family are the first
-    field's, decay the smallest, t_peaks every field's."""
+    reversed phases) or np.negative(u).  d and family are the ones every
+    field shares (C.case_of), decay the smallest, t_peaks every field's."""
 
     def __init__(self, fn, *fields):
         self.fn, self.fields = fn, fields
-        self.d, self.family = fields[0].d, fields[0].family
+        self.family, self.d = C.case_of(fields)
         self.decay = min(f.decay for f in fields)
         self.t_peaks = [t for f in fields for t in f.t_peaks]
         self.has_closed_form = all(f.has_closed_form for f in fields)
@@ -250,9 +250,9 @@ def spacetime_integral(
     space-time of the fields `evaluators` that F is built from.
 
     F maps (t_nodes, r_nodes) to an (nt, nr) array (complex allowed).
-    The dimension, the default window, the default ridge width (half the
-    smallest decay; an explicit one passes checked_positive) and the driver
-    (_pick_mode) come from the fields.
+    The dimension (C.case_of), the default window, the default ridge width
+    (half the smallest decay; an explicit one passes checked_positive) and
+    the driver (_pick_mode) come from the fields.
     Panel counts double per level (at most max_levels >= 1 times) until
     successive passes agree to rel_tol (finite and > 0), or
     QuadratureError carries the last level and its difference; the
@@ -267,7 +267,7 @@ def spacetime_integral(
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     if check_window:
         _checked_beyond_one(ext_factor, "ext_factor")
-    d = evaluators[0].d
+    _, d = C.case_of(evaluators)
     if window is None:
         window = default_window(evaluators)
     ridge_width = (0.5 * min(ev.decay for ev in evaluators) if ridge_width is None
@@ -404,10 +404,7 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
     k = len(profiles)
     if k < 2:
         raise ValueError("need at least two profiles")
-    d = profiles[0].d
-    family = profiles[0].family
-    if any(p.d != d or p.family != family for p in profiles):
-        raise ValueError("profiles must share dimension and family")
+    family, d = C.case_of(profiles)
     if not C.rhs_finite(family, d, k):
         raise ValueError(f"the {family} (d, k) = ({d}, {k}) right-hand side diverges: "
                          "its weight is not integrable at coincident frequencies")
@@ -472,9 +469,9 @@ def radial_pair_rhs(p1: ExtremalProfile, p2: ExtremalProfile) -> float:
     B_d(alpha) = int_{-1}^{1} (1 - u)^alpha (1 - u^2)^{(d-3)/2} du
                = 2^{alpha+d-2} B((d-1)/2, alpha + (d-1)/2),
     finite for d >= 3.  The oracle of multilinear_rhs on such pairs."""
-    d = p1.d
-    if any(p.family != WAVE or p.d != d or np.any(p.b.real) for p in (p1, p2)):
-        raise ValueError("the closed form needs two wave profiles of one d with Re b = 0")
+    _, d = C.case_of([p1, p2], serves=(WAVE,))
+    if np.any(p1.b.real) or np.any(p2.b.real):
+        raise ValueError("the closed form needs Re b = 0")
     alpha = float(C.alpha_exponent(d, 2))
     h = 0.5 * (d - 1)
     log_b = (alpha + d - 2) * math.log(2.0) + C.log_beta_fn(h, alpha + h)
@@ -562,6 +559,14 @@ def onesided_quotient(profile: ExtremalProfile) -> QuotientReport:
     )
 
 
+def _split_pair_fields(f_plus: ExtremalProfile, f_minus: ExtremalProfile):
+    """The fields of a wave (+, -) split pair of one d, else ValueError."""
+    C.case_of([f_plus, f_minus], serves=(WAVE,))
+    if f_plus.sign != 1 or f_minus.sign != -1:
+        raise ValueError("pass the (+, -) split pair")
+    return RadialEvaluator(f_plus), RadialEvaluator(f_minus)
+
+
 def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile) -> QuotientReport:
     """Energy-Strichartz quotient in d = 5.
 
@@ -569,11 +574,9 @@ def energy_quotient(f_plus: ExtremalProfile, f_minus: ExtremalProfile) -> Quotie
     from the parallelogram law 2(||grad f_+||^2 + ||grad f_-||^2), and
     the constant (8 pi)^{-1/2}.
     """
-    if f_plus.d != 5 or f_minus.d != 5:
+    ev_p, ev_m = _split_pair_fields(f_plus, f_minus)
+    if ev_p.d != 5:
         raise ValueError("the energy quotient is the d = 5 case")
-    if f_plus.sign != 1 or f_minus.sign != -1:
-        raise ValueError("pass the (+, -) split pair")
-    ev_p, ev_m = RadialEvaluator(f_plus), RadialEvaluator(f_minus)
     lhs, lhs_err = lp_norm_radial(MappedEvaluator(np.add, ev_p, ev_m), 4,
                                   window=default_window([ev_p, ev_m]), rel_tol=1e-7)
     energy = 2.0 * (sobolev_norm_sq(f_plus, 1.0) + sobolev_norm_sq(f_minus, 1.0))
@@ -594,7 +597,7 @@ def orthogonal_split_check(f_plus: ExtremalProfile, f_minus: ExtremalProfile) ->
     the residual measures quadrature error only.  Also returns the
     basic-inequality pieces X = ||u_+||_4^2, Y = ||u_-||_4^2.
     """
-    ev_p, ev_m = RadialEvaluator(f_plus), RadialEvaluator(f_minus)
+    ev_p, ev_m = _split_pair_fields(f_plus, f_minus)
     kw = dict(window=default_window([ev_p, ev_m]), rel_tol=1e-7)
     u = MappedEvaluator(np.add, ev_p, ev_m)
     total, e0 = product_l2_sq([u, u], **kw)
@@ -656,8 +659,7 @@ def gaussian_l4_norm(p: ExtremalProfile) -> float:
     ||u||_4^4 = (2pi)^{-4d} pi^{5d/2} sigma^{-d/2} e^{4 Re c + |Re b|^2/sigma}
                 * sigma^{1-d} sqrt(pi) Gamma((d-1)/2)/Gamma(d/2).
     """
-    if p.family != SCHRODINGER:
-        raise ValueError("needs a Schrodinger profile")
+    C.check_case(p.family, p.d, serves=(SCHRODINGER,))
     d, sigma = p.d, p.decay
     br2 = float(np.dot(p.b.real, p.b.real))
     val4 = (

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import check_length
+
 # Below this speed the (gamma-1)/|v|^2 block is evaluated by series;
 # the limit coefficient is 1/2 and the v^2 correction is 3|v|^2/8.
 _SMALL_V = 1e-8
@@ -75,10 +77,8 @@ def boost_matrix(v) -> np.ndarray:
 
 def lorentz_boost(v, p: ConePoint) -> ConePoint:
     """Apply T_v to a cone point."""
-    T = boost_matrix(v)
-    if T.shape[0] != p.d + 1:
-        raise ValueError("boost velocity and point dimension mismatch")
-    vec = T @ np.concatenate(([p.tau], p.xi))
+    check_length("v", np.atleast_1d(v), p.d)
+    vec = boost_matrix(v) @ np.concatenate(([p.tau], p.xi))
     return ConePoint(vec[0], vec[1:])
 
 
@@ -92,6 +92,7 @@ def normalizing_boost(p: ConePoint) -> np.ndarray:
 def galilean_map(v, p: ConePoint) -> ConePoint:
     """(tau, xi) -> (tau + 2 xi.v + |v|^2, xi + v); preserves tau = |xi|^2."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    check_length("v", v, p.d)
     return ConePoint(p.tau + 2.0 * float(np.dot(p.xi, v)) + float(np.dot(v, v)), p.xi + v)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import WAVE, SCHRODINGER, check_case, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, check_length, sphere_area
 from .quadrules import angular_nodes, gauss_nodes
 
 # Angular Gauss nodes of the tilted-norm quadratures (8x as many radial).
@@ -47,8 +47,7 @@ class ExtremalProfile:
         if self.b is None:
             self.b = np.zeros(self.d, dtype=complex)
         self.b = np.atleast_1d(np.asarray(self.b, dtype=complex))
-        if self.b.size != self.d:
-            raise ValueError("tilt vector b must have length d")
+        check_length("b", self.b, self.d)
         self.a = complex(self.a)
         self.c = complex(self.c)
         if self.sign not in (1, -1):
@@ -278,14 +277,16 @@ def compose(g1, g2):
     if type(g1) is not type(g2):
         raise ValueError("can only compose elements of the same family")
     if isinstance(g1, Translate):
-        x1 = np.asarray(g1.x0, dtype=float) if len(g1.x0) else 0.0
-        x2 = np.asarray(g2.x0, dtype=float) if len(g2.x0) else 0.0
-        return Translate(g1.t0 + g2.t0, tuple(np.atleast_1d(x1 + x2)))
+        d = max(len(g1.x0), len(g2.x0))  # an empty x0 is the zero vector
+        x1, x2 = (np.asarray(g.x0, dtype=float) if len(g.x0) else np.zeros(d) for g in (g1, g2))
+        check_length("x0", x2, len(x1))
+        return Translate(g1.t0 + g2.t0, tuple(x1 + x2))
     if isinstance(g1, Scaling):
         return Scaling(g1.lam1 * g2.lam1, g1.lam2 * g2.lam2)
     if isinstance(g1, Phase):
         return Phase(g1.theta + g2.theta)
     if isinstance(g1, GalileanBoost):
+        check_length("v", g2.v, len(g1.v))
         return GalileanBoost(tuple(np.asarray(g1.v) + np.asarray(g2.v)))
     raise ValueError(f"unsupported group element {g1!r}")
 
@@ -301,8 +302,7 @@ def symmetry_apply(g, p: ExtremalProfile) -> ExtremalProfile:
     d = p.d
     if isinstance(g, Translate):
         x0 = np.zeros(d) if len(g.x0) == 0 else np.asarray(g.x0, dtype=float)
-        if x0.size != d:
-            raise ValueError("translation vector has wrong dimension")
+        check_length("x0", x0, d)
         if p.family == WAVE:
             return replace(p, a=p.a + 1j * p.sign * g.t0, b=p.b + 1j * x0)
         return replace(p, a=p.a - 1j * g.t0, b=p.b + 1j * x0)
@@ -318,11 +318,9 @@ def symmetry_apply(g, p: ExtremalProfile) -> ExtremalProfile:
     if isinstance(g, Phase):
         return replace(p, c=p.c + 1j * g.theta)
     if isinstance(g, GalileanBoost):
-        if p.family != SCHRODINGER:
-            raise ValueError("Galilean boosts act on the Schrodinger family only")
+        check_case(p.family, d, serves=(SCHRODINGER,))
         v = np.asarray(g.v, dtype=float)
-        if v.size != d:
-            raise ValueError("boost vector has wrong dimension")
+        check_length("v", v, d)
         c = p.c + p.a * float(np.dot(v, v)) + complex(np.dot(p.b, v))
         return replace(p, b=p.b + 2.0 * p.a * v, c=c)
     raise ValueError(f"unsupported group element {g!r}")

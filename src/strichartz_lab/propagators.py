@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .constants import WAVE, SCHRODINGER, check_case, log_sphere_area, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, check_length, log_sphere_area, sphere_area
 from .profiles import ExtremalProfile, checked_positive
 from .quadrules import QuadratureError, uniform_panels
 
@@ -383,6 +383,7 @@ def wave_eval(p: ExtremalProfile, t: float, r: float, method: str = "auto") -> c
 def wave_center_value(p: ExtremalProfile, t: float) -> complex:
     """Exact u(t, center) = (2pi)^{-d} |S^{d-1}| Gamma(d-1) e^c / (-(a + i s t))^{d-1}."""
     d = p.d
+    check_case(p.family, d, serves=(WAVE,))
     z = -(p.a + 1j * p.sign * t)
     return (
         np.exp(p.c)
@@ -404,6 +405,7 @@ def lambda_amplitude(p: ExtremalProfile, t: float, x) -> float:
     (a, b, Re c).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    check_length("x", x, p.d)
     r = float(np.linalg.norm(x - p.center))
     return abs(wave_eval(p, t, r))
 
@@ -421,8 +423,9 @@ def lambda_diagnostics(p: ExtremalProfile):
     d = 5 it is (Re(a)^2 + t~^2)^2, a monic quartic in shifted time with
     constant term Re(a)^4.
     """
-    if p.family != WAVE or p.d != 5:
-        raise ValueError("diagnostics implemented for d = 5 wave profiles")
+    check_case(p.family, p.d, serves=(WAVE,))
+    if p.d != 5:
+        raise ValueError(f"the diagnostics are written for d = 5, got d = {p.d}")
     ev = RadialEvaluator(p)
     t_star = ev.t_peaks[0]
     t_grid = t_star + np.linspace(-2.0, 2.0, 41)
@@ -459,11 +462,9 @@ def schro_gaussian_eval(p: ExtremalProfile, t: float, x) -> complex:
     The base it - a stays in the right half-plane (Re = -Re(a) > 0), so
     the principal half-power is already the continuous branch in t.
     """
-    if p.family != SCHRODINGER:
-        raise ValueError("needs a Schrodinger-family profile")
+    check_case(p.family, p.d, serves=(SCHRODINGER,))
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    if x.size != p.d:
-        raise ValueError("point dimension mismatch")
+    check_length("x", x, p.d)
     shifted = x - 1j * p.b
     return complex(_gaussian_field(p, 1j * t - p.a, np.sum(shifted * shifted)))
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .constants import (SCHRODINGER, WAVE, alpha_exponent, beta_exponent, check_case,
-                        log_beta_fn, log_sphere_area, sphere_area)
+                        check_length, log_beta_fn, log_sphere_area, sphere_area)
 from .geometry import ConePoint, minkowski_form
 from .mc import blockwise, mc_mean, row_norm, row_sum, unit_directions
 from .profiles import checked_positive
@@ -49,14 +49,10 @@ class ShellResult:
             raise ValueError("deterministic methods carry stderr = 0")
 
 
-def _check_dim(d: int, xi) -> None:
-    if len(xi) != d:
-        raise ValueError(f"xi has {len(xi)} coordinates, the case has d = {d}")
-
-
-def _check_point(d: int, p: ConePoint) -> None:
-    """ValueError unless p is a d-dimensional point strictly inside the cone."""
-    _check_dim(d, p.xi)
+def _check_point(d: int, k: int, p: ConePoint) -> None:
+    """check_case(WAVE, d, k), then ValueError unless p is d-dimensional and tau > |xi|."""
+    check_case(WAVE, d, k)
+    check_length("xi", p.xi, d)
     if not p.interior:
         raise ValueError("shell formulas require tau > |xi|")
 
@@ -75,8 +71,7 @@ def log_itilde_unit(d: int, k: int) -> float:
 
 def itilde_closed(d: int, k: int, p: ConePoint) -> ShellResult:
     """Closed form Itilde_k(tau, xi) = rho^{alpha(k)} Itilde_k(1, 0)."""
-    check_case(WAVE, d, k)
-    _check_point(d, p)
+    _check_point(d, k, p)
     alpha_k = float(alpha_exponent(d, k))
     value = math.exp(log_itilde_unit(d, k) + alpha_k * math.log(minkowski_form(p)))
     return ShellResult(value, CLOSED_FORM)
@@ -88,11 +83,9 @@ def i_weighted(d: int, k: int, p: ConePoint) -> ShellResult:
     Point-independent: 2^{-(d-1)/2}|S^{d-1}| at k = 2 and
     2^{-(alpha(k)+1)}|S^{d-1}|^{k-1} prod B(d-1, alpha(j)+1) for k >= 3.
     """
-    _check_point(d, p)
-    alpha_k = float(alpha_exponent(d, k))
-    rho = minkowski_form(p)
     itilde = itilde_closed(d, k, p).value
-    value = 2.0 ** alpha_k * rho ** (-alpha_k) * itilde
+    alpha_k = float(alpha_exponent(d, k))
+    value = 2.0 ** alpha_k * minkowski_form(p) ** (-alpha_k) * itilde
     return ShellResult(value, CLOSED_FORM)
 
 
@@ -100,14 +93,12 @@ def _radial_recursion_integral(d: int, alpha: Fraction, tol: float) -> float:
     """int_0^{1/2} (1 - 2r)^{alpha} r^{d-2} dr by adaptive quadrature.
 
     For non-integer alpha the substitution w = (1-2r)^{1+alpha} removes
-    the endpoint singularity (alpha in (-1, 0)) or derivative blow-up
-    (fractional alpha > 0):
+    the endpoint singularity (alpha in [-1/2, 0), all the recursion asks for
+    at d >= 2) or derivative blow-up (fractional alpha > 0):
 
         I = 1/(2(1+alpha)) int_0^1 ((1 - w^{1/(1+alpha)})/2)^{d-2} dw.
     """
     af = float(alpha)
-    if af <= -1.0:
-        raise ValueError("recursion needs alpha > -1 (holds for d >= 2, k >= 3)")
     if alpha.denominator == 1:
         fn = lambda r: (1.0 - 2.0 * r) ** af * r ** (d - 2)
         lo, hi = 0.0, 0.5
@@ -138,8 +129,7 @@ def itilde_recursive(d: int, k: int, p: ConePoint, tol: float = 1e-10) -> ShellR
     iterated down to the k = 2 base |S^{d-1}|/2^{d-2}; each level's
     radial integral is quadrature, never the Beta closed form.
     """
-    check_case(WAVE, d, k)
-    _check_point(d, p)
+    _check_point(d, k, p)
     log_unit = log_sphere_area(d) - (d - 2) * math.log(2.0)
     for j in range(3, k + 1):
         radial = _radial_recursion_integral(d, alpha_exponent(d, j - 1), tol)
@@ -168,8 +158,7 @@ def itilde_montecarlo(
     r^{d-2} dr of the integrand exactly (so it cancels from the weights)
     and the rate centers sum |eta_j| on the shell at tau.
     """
-    check_case(WAVE, d, k)
-    _check_point(d, p)
+    _check_point(d, k, p)
     checked_positive(epsilon, "epsilon")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("need n_samples >= 1e4")
@@ -235,7 +224,7 @@ def schro_shell(d: int, k: int, tau: float, xi) -> SchroShell:
     """
     check_case(SCHRODINGER, d, k)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    _check_dim(d, xi)
+    check_length("xi", xi, d)
     gap = k * tau - float(np.dot(xi, xi))
     if gap <= 0.0:
         raise ValueError("paraboloid shell needs k tau > |xi|^2")

@@ -128,6 +128,29 @@ def test_suite_failure_exits_1(monkeypatch):
     assert code == 1
 
 
+_COROLLARY_D5 = ["onesided_extremal_d5", "quartic_norm_d5", "energy_quotient_canonical",
+                 "energy_quotient_broken", "cross_term_gap_d2"]
+
+
+def _corollary_d5(path):
+    """Exit code and {case_id: pass} of the d = 5 corollary suite."""
+    code = run(["corollary", "--d", "5", "--out", str(path)])
+    cases = [json.loads(line) for line in path.read_text().splitlines()]
+    return code, {c["case_id"]: c["pass"] for c in cases}
+
+
+def test_corollary_suite_checks_the_d5_cases(monkeypatch, tmp_path):
+    code, passed = _corollary_d5(tmp_path / "ok.jsonl")
+    assert code == 0
+    assert passed == dict.fromkeys(_COROLLARY_D5, True)
+    # A Cauchy-Schwarz ratio of 1 is no strict gap: that case, and it alone, fails.
+    gap = cli.FN.cross_term_gap("paper")
+    monkeypatch.setattr(cli.FN, "cross_term_gap", lambda mode: {**gap, "ratio": 1.0})
+    code, passed = _corollary_d5(tmp_path / "flat.jsonl")
+    assert code == 1
+    assert [case for case, ok in passed.items() if not ok] == ["cross_term_gap_d2"]
+
+
 def test_constants_wave_rows_fail_on_a_wrong_catalog(monkeypatch):
     # The wave rows check W(d,k) against (2pi)^{1-d(2k-1)} I_k from the
     # shell module, so a perturbed catalog formula must fail them.

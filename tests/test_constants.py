@@ -11,6 +11,7 @@ import pytest
 
 from strichartz_lab import constants as C
 from strichartz_lab import functionals as FN
+from strichartz_lab import geometry as G
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab import shells as SH
@@ -265,3 +266,112 @@ def test_one_lookup_decides_the_one_function_case():
     with pytest.raises(ValueError) as want:
         C.onefn_degree(C.WAVE, 4)
     assert messages == {str(want.value)}
+
+
+_W3, _W5 = P.wave_profile(3, -1.0), P.wave_profile(5, -1.0)
+_U3, _U5 = PR.RadialEvaluator(_W3), PR.RadialEvaluator(_W5)
+_S5_PAIR = (P.ExtremalProfile(C.SCHRODINGER, 5, -1.0, sign=1),
+            P.ExtremalProfile(C.SCHRODINGER, 5, -1.0, sign=-1))
+_MIXED = r"share \(family, d\), got "
+_SERVES_WAVE = "serves the wave family, got 'schrodinger'"
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: FN.product_l2_sq([_U3, _U5]), _MIXED + r"\('wave', 3\) and \('wave', 5\)"),
+    (lambda: FN.product_l2_sq([_U5, _U3]), _MIXED + r"\('wave', 5\) and \('wave', 3\)"),
+    (lambda: FN.product_l2_sq([_U5, PR.RadialEvaluator(P.schrodinger_profile(5, -1.0))]),
+     _MIXED + r"\('wave', 5\) and \('schrodinger', 5\)"),
+    (lambda: FN.MappedEvaluator(np.add, _U3, _U5), _MIXED + r"\('wave', 3\) and \('wave', 5\)"),
+    (lambda: FN.orthogonal_split_check(_W3, P.wave_profile(5, -1.0, sign=-1)),
+     _MIXED + r"\('wave', 3\) and \('wave', 5\)"),
+    (lambda: FN.orthogonal_split_check(*_S5_PAIR), _SERVES_WAVE),
+    (lambda: FN.energy_quotient(*_S5_PAIR), _SERVES_WAVE),
+    (lambda: PR.wave_center_value(P.schrodinger_profile(5, -1.0), 0.3), _SERVES_WAVE),
+    (lambda: PR.lambda_amplitude(P.wave_profile(5, -1.0, b=(0, 0.3j, 0, 0, 0)), 0.0, [1.0]),
+     "x has 1 coordinates, the case has d = 5"),
+    (lambda: P.compose(P.Translate(0.0, (1.0,)), P.Translate(0.0, (1.0, 2.0, 3.0))),
+     "x0 has 3 coordinates, the case has d = 1"),
+    (lambda: P.compose(P.GalileanBoost((0.1,)), P.GalileanBoost((0.1, 0.2, 0.3, 0.4))),
+     "v has 4 coordinates, the case has d = 1"),
+    (lambda: G.galilean_map([0.5], ConePoint(1.0, [0.0, 0.0, 0.0])),
+     "v has 1 coordinates, the case has d = 3"),
+    (lambda: FN.multilinear_rhs([_W3, _W5], n_samples=10 ** 4),
+     _MIXED + r"\('wave', 3\) and \('wave', 5\)"),
+], ids=["product_d3_d5", "product_d5_d3", "product_wave_schro", "mapped_d3_d5",
+        "split_check_d3_d5", "split_check_schro", "energy_quotient_schro",
+        "center_value_schro", "lambda_amplitude_short_x", "compose_translate",
+        "compose_galilean", "galilean_map", "multilinear_rhs_d3_d5"])
+def test_every_routine_that_takes_a_case_applies_the_case_rule(call, bad):
+    # Each of these once returned a number (a d = 3 field read as d = 5, a
+    # Schrodinger pair scored against the wave constant), a sum of vectors
+    # of two lengths, a numpy shape error or another message.
+    with pytest.raises(ValueError, match=bad):
+        call()
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: P.ExtremalProfile(C.WAVE, 3, -1.0, b=np.zeros(2)),
+     "b has 2 coordinates, the case has d = 3"),
+    (lambda: P.symmetry_apply(P.Translate(0.0, (1.0,)), _W3),
+     "x0 has 1 coordinates, the case has d = 3"),
+    (lambda: P.symmetry_apply(P.GalileanBoost((0.1,) * 3), _W3),
+     "serves the schrodinger family, got 'wave'"),
+    (lambda: P.symmetry_apply(P.GalileanBoost((0.1,)), P.schrodinger_profile(3, -1.0)),
+     "v has 1 coordinates, the case has d = 3"),
+    (lambda: PR.schro_gaussian_eval(_W3, 0.0, np.zeros(3)),
+     "serves the schrodinger family, got 'wave'"),
+    (lambda: PR.schro_gaussian_eval(P.schrodinger_profile(3, -1.0), 0.0, np.zeros(2)),
+     "x has 2 coordinates, the case has d = 3"),
+    (lambda: PR.lambda_diagnostics(P.schrodinger_profile(5, -1.0)), _SERVES_WAVE),
+    (lambda: FN.gaussian_l4_norm(_W3), "serves the schrodinger family, got 'wave'"),
+    (lambda: FN.radial_pair_rhs(*_S5_PAIR), _SERVES_WAVE),
+    (lambda: FN.radial_pair_rhs(_W3, _W5), _MIXED + r"\('wave', 3\) and \('wave', 5\)"),
+    (lambda: G.lorentz_boost([0.1, 0.2], ConePoint(1.0, np.zeros(3))),
+     "v has 2 coordinates, the case has d = 3"),
+], ids=["profile_b", "translate", "galilean_wave", "galilean_short_v", "gaussian_wave",
+        "gaussian_short_x", "diagnostics_schro", "l4_norm_wave", "pair_rhs_schro",
+        "pair_rhs_d3_d5", "lorentz_boost"])
+def test_replaced_checks_raise_the_rule_messages(call, bad):
+    with pytest.raises(ValueError, match=bad):
+        call()
+
+
+# The messages the case rule replaced, one per ad-hoc check that wrote it.
+_REPLACED = ["tilt vector b must have length d", "translation vector has wrong dimension",
+             "Galilean boosts act on the Schrodinger family only",
+             "boost vector has wrong dimension", "needs a Schrodinger-family profile",
+             "point dimension mismatch", "diagnostics implemented for d = 5 wave profiles",
+             "needs a Schrodinger profile", "profiles must share dimension and family",
+             "the closed form needs two wave profiles of one d",
+             "boost velocity and point dimension mismatch"]
+
+
+def _length_comparisons(tree):
+    """Lines comparing a len(), .size or .shape with a bare d or a .d attribute:
+    a vector-length rule written out."""
+    def sized(n):
+        if isinstance(n, ast.Subscript):
+            n = n.value
+        return ((isinstance(n, ast.Call) and getattr(n.func, "id", None) == "len")
+                or (isinstance(n, ast.Attribute) and n.attr in ("size", "shape")))
+
+    def dim(n):
+        return getattr(n, "id", getattr(n, "attr", None)) == "d"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(sized, operands)) and any(map(dim, operands)):
+                yield node.lineno
+
+
+def test_served_family_shared_case_and_vector_length_are_written_only_in_constants():
+    src = Path(C.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    for message in ("this routine serves the", "the fields of one case share",
+                    "coordinates, the case has d ="):
+        assert [name for name, text in texts.items() if message in text] == ["constants.py"]
+    assert not [(name, m) for name, text in texts.items() for m in _REPLACED if m in text]
+    lengths = {name: list(_length_comparisons(ast.parse(text)))
+               for name, text in texts.items() if name != "constants.py"}
+    assert not {name: lines for name, lines in lengths.items() if lines}

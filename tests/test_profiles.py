@@ -274,6 +274,16 @@ def test_symmetry_group_law():
     assert abs(seq.c - joint.c) < 1e-12
 
 
+def test_composed_time_translations_act_in_every_dimension():
+    # Two translations without x0 once composed to x0 = (0.0,), which a
+    # d = 3 profile rejected as a vector of the wrong length.
+    joint = P.compose(P.Translate(0.5), P.Translate(0.25))
+    assert joint == P.Translate(0.75)
+    p = P.wave_profile(3, -1.0)
+    assert P.profile_to_record(P.symmetry_apply(joint, p)) == P.profile_to_record(
+        P.symmetry_apply(P.Translate(0.75), p))
+
+
 def test_symmetry_schrodinger_galilean_action():
     s = P.schrodinger_profile(4, -1.0, b=np.array([0.3, 0, 0, 0]))
     v = np.array([0.5, 0.0, -0.2, 0.0])
