@@ -22,7 +22,7 @@ from . import constants as C
 from . import functionals as FN
 from . import profiles as P
 from . import propagators as PR
-from .search import (SUPPORTED_CASES, SearchConfig, search as run_search,
+from .search import (SearchConfig, quotient_objective, search as run_search,
                      symmetry_invariance_audit, trace_to_csv)
 from . import shells as SH
 from .geometry import ConePoint, boost_defects, paraboloid_defect
@@ -100,30 +100,12 @@ def suite_constants(args, rows):
 
 def _check_shells(args):
     """(d, k, cone point) of the shells suite, the point (1, 0) unless
-    --point is given; ValueError on --d or --k below 2, a non-positive or
-    non-finite --epsilon, too few --samples, or a malformed, non-finite or
-    exterior --point."""
+    --point gives tau,x1,...,xd; ValueError on a --point that is not a list
+    of numbers, or from ConePoint and SH.check_montecarlo."""
     d, k = _flag(args, "d", 3), _flag(args, "k", 2)
-    if d < C.DIM_FLOOR[C.WAVE]:
-        raise ValueError(f"shells needs --d >= {C.DIM_FLOOR[C.WAVE]}, got {d}")
-    if k < 2:
-        raise ValueError(f"shells needs --k >= 2, got {k}")
-    if not 0.0 < args.epsilon < math.inf:
-        raise ValueError(f"shells needs --epsilon > 0 and finite (a smoothing width), "
-                         f"got {args.epsilon}")
-    if args.samples < SH.MIN_MC_SAMPLES:
-        raise ValueError(f"shells needs --samples >= {SH.MIN_MC_SAMPLES}")
-    if not args.point:
-        return d, k, ConePoint(1.0, np.zeros(d))
-    vals = [float(x) for x in args.point.split(",")]
-    if len(vals) != d + 1:
-        raise ValueError(f"--point needs tau and {d} coordinates for d = {d}, "
-                         f"got {len(vals)} values")
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"--point needs finite values, got {args.point}")
-    pt = ConePoint(vals[0], np.array(vals[1:]))
-    if not pt.interior:
-        raise ValueError("--point must lie inside the forward cone (tau > |xi|)")
+    vals = [float(x) for x in args.point.split(",")] if args.point else [1.0] + [0.0] * d
+    pt = ConePoint(vals[0], vals[1:])
+    SH.check_montecarlo(d, k, pt, args.epsilon, args.samples)
     return d, k, pt
 
 
@@ -145,15 +127,10 @@ def suite_shells(args, checked):
 
 def _check_bilinear(args):
     """(d, k) of the bilinear suite; ValueError unless the flags name a
-    k-linear wave estimate with a finite right-hand side and a finite
-    Monte Carlo error bar."""
+    k-linear wave estimate with a finite right-hand side
+    (C.check_rhs_finite) and a finite Monte Carlo error bar."""
     d, k = _flag(args, "d", 5), _flag(args, "k", 2)
-    if d < C.DIM_FLOOR[C.WAVE]:
-        raise ValueError(f"bilinear needs --d >= {C.DIM_FLOOR[C.WAVE]}, got {d}")
-    if k < 2:
-        raise ValueError(f"bilinear needs --k >= 2 (a k-linear estimate), got {k}")
-    if not C.rhs_finite(C.WAVE, d, k):
-        raise ValueError(f"bilinear has no finite right-hand side at --d {d} --k {k}")
+    C.check_rhs_finite(C.WAVE, d, k)
     if args.samples < 2:
         raise ValueError(f"bilinear needs --samples >= 2 for a Monte Carlo error bar, "
                          f"got {args.samples}")
@@ -197,11 +174,10 @@ def suite_bilinear(args, checked):
 
 
 def _check_corollary(args):
-    """d of the corollary suite; ValueError unless it has a one-function case."""
+    """d of the corollary suite; ValueError unless it has a one-function case
+    (C.onefn_degree)."""
     d = _flag(args, "d", 5)
-    if d not in C.WAVE_ALPHA1_DEGREE:
-        raise ValueError(f"corollary needs --d in {sorted(C.WAVE_ALPHA1_DEGREE)} "
-                         f"(the one-function cases), got {d}")
+    C.onefn_degree(C.WAVE, d)
     return d
 
 
@@ -252,22 +228,15 @@ def suite_schro_identity(args, _):
 
 
 def _check_search(args):
-    """(d, k, family) of the search suite; ValueError on an unsupported
-    case or a budget or restart count below 1."""
+    """(d, k, family) of the search suite and its SearchConfig; ValueError
+    from quotient_objective on an unsupported case or from SearchConfig."""
     case = (_flag(args, "d", 4), _flag(args, "k", 2), _flag(args, "family", C.SCHRODINGER))
-    if case not in SUPPORTED_CASES:
-        raise ValueError(f"search supports (d, k, family) in {sorted(SUPPORTED_CASES)}, "
-                         f"got {case}")
-    if args.budget < 1:
-        raise ValueError(f"search needs --budget >= 1, got {args.budget}")
-    if args.restarts < 1:
-        raise ValueError(f"search needs --restarts >= 1, got {args.restarts}")
-    return case
+    quotient_objective(*case)
+    return case, SearchConfig(budget=args.budget, seed=args.seed, restarts=args.restarts)
 
 
 def suite_search(args, checked):
-    d, k, family = checked
-    cfg = SearchConfig(budget=args.budget, seed=args.seed, restarts=args.restarts)
+    (d, k, family), cfg = checked
     prof, trace, diag = run_search(d, k, family, cfg)
     qs = trace.quotients
     monotone = all(qs[i] <= qs[i + 1] + 1e-12 for i in range(len(qs) - 1))
@@ -328,9 +297,10 @@ def suite_audit(args, _):
     return cases
 
 
-# (flag check, suite) per command.  main runs every check once, before
-# any suite, so a usage error exits 2 up front, and hands each suite what
-# its check returned.
+# (flag check, suite) per command.  Each check builds the library's objects
+# from the flags and calls the library's own checks.  main runs every check
+# once, before any suite, so a usage error exits 2 up front with the library's
+# message after the suite's name, and hands each suite what its check returned.
 SUITES = {
     "constants": (_check_constants, suite_constants),
     "shells": (_check_shells, suite_shells),
@@ -396,16 +366,18 @@ def main(argv=None):
     if args.config:
         # Config values parse as flags placed first, so explicit flags win.
         args = ap.parse_args(_config_flags(ap, args.config) + argv)
-    runs = list(SUITES.values()) if args.command == "all" else [SUITES[args.command]]
-    try:
-        checked = [check(args) for check, _ in runs]
-    except ValueError as exc:
-        ap.error(str(exc))
+    names = list(SUITES) if args.command == "all" else [args.command]
+    checked = []
+    for name in names:
+        try:
+            checked.append(SUITES[name][0](args))
+        except ValueError as exc:
+            ap.error(f"{name}: {exc}")
 
     started = time.time()
     cases = []
-    for (_, suite), flags in zip(runs, checked):
-        cases.extend(suite(args, flags))
+    for name, flags in zip(names, checked):
+        cases.extend(SUITES[name][1](args, flags))
 
     failed = [c for c in cases if not c["pass"]]
     for c in cases:

@@ -55,8 +55,11 @@ def check_case(family: str, d: int, k: int = 2, serves=FAMILIES) -> None:
 
 def case_of(items, serves=FAMILIES):
     """(family, d) shared by every profile or field of items, checked by
-    check_case; ValueError naming the first pair that differs."""
-    case, *rest = [(item.family, item.d) for item in items]
+    check_case; ValueError when items is empty or naming the first pair that differs."""
+    cases = [(item.family, item.d) for item in items]
+    if not cases:
+        raise ValueError("a case needs at least one profile or field")
+    case, *rest = cases
     for other in rest:
         if other != case:
             raise ValueError(f"the fields of one case share (family, d), got {case} and {other}")
@@ -96,6 +99,14 @@ def rhs_finite(family: str, d: int, k: int) -> bool:
     if family == WAVE:
         return 2 * alpha_exponent(d, k) + d - 1 > 0
     return 2 * beta_exponent(d, k) + d > 0
+
+
+def check_rhs_finite(family: str, d: int, k: int) -> None:
+    """ValueError unless (family, d, k) is a case whose k-linear right-hand side
+    is finite (rhs_finite)."""
+    if not rhs_finite(family, d, k):
+        raise ValueError(f"the {family} (d, k) = ({d}, {k}) right-hand side diverges: "
+                         "its weight is not integrable at coincident frequencies")
 
 
 def log_beta_fn(x: float, y: float) -> float:

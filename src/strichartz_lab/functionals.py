@@ -257,7 +257,7 @@ def spacetime_integral(
     successive passes agree to rel_tol (finite and > 0), or
     QuadratureError carries the last level and its difference; the
     returned error adds a window-growth check (both tails extended
-    ext_factor > 1 x at the accepted level).  For nonnegative
+    ext_factor > 1 x, run at level 1 whatever level was accepted).  For nonnegative
     integrands the two window sizes also drive a power-law tail
     completion (exact for cumulative 1/T tails, conservative error
     otherwise), which matters for the slowly decaying d = 2 sextics.
@@ -287,7 +287,7 @@ def spacetime_integral(
                               best=value, error=err)
     if check_window:
         wide = replace(window, t_max=ext_factor * window.t_max, r_max=ext_factor * window.r_max)
-        ext = run(F, d, wide, min(level, 1))
+        ext = run(F, d, wide, 1)
         delta = ext - value
         err += abs(delta)
         if nonneg and abs(complex(delta).imag) < 1e-12 * abs(ext):
@@ -398,16 +398,12 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
     tilt, so weights are bounded by construction), directions uniform.
     Schrodinger sampling: the Gaussian factor is matched exactly and
     only K^{2 beta} fluctuates.  Inadmissible wave profiles, and the
-    (family, d, k) whose weight is not integrable (constants.rhs_finite),
+    (family, d, k) whose weight is not integrable (constants.check_rhs_finite),
     raise: the integral diverges.
     """
     k = len(profiles)
-    if k < 2:
-        raise ValueError("need at least two profiles")
     family, d = C.case_of(profiles)
-    if not C.rhs_finite(family, d, k):
-        raise ValueError(f"the {family} (d, k) = ({d}, {k}) right-hand side diverges: "
-                         "its weight is not integrable at coincident frequencies")
+    C.check_rhs_finite(family, d, k)
     if family == WAVE:
         if any(not p.admissible for p in profiles):
             raise ValueError("inadmissible wave profile: right-hand side diverges")

@@ -23,7 +23,7 @@ _SMALL_V = 1e-8
 
 @dataclass
 class ConePoint:
-    """Space-time frequency point (tau, xi)."""
+    """Space-time frequency point (tau, xi); ValueError unless tau and xi are finite."""
 
     tau: float
     xi: np.ndarray
@@ -31,6 +31,9 @@ class ConePoint:
     def __post_init__(self):
         self.xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
         self.tau = float(self.tau)
+        if not (math.isfinite(self.tau) and np.all(np.isfinite(self.xi))):
+            raise ValueError(f"a cone point needs a finite tau and xi, "
+                             f"got tau = {self.tau!r}, xi = {self.xi.tolist()}")
 
     @property
     def d(self) -> int:

@@ -29,11 +29,8 @@ from .profiles import symmetry_apply
 from .propagators import QuadSpec, RadialEvaluator
 from .quadrules import QuadratureError
 
-SUPPORTED_CASES = {
-    (5, 2, WAVE): "wave d=5 quartic",
-    (3, 3, WAVE): "wave d=3 sextic",
-    (4, 2, SCHRODINGER): "schrodinger d=4 quartic",
-}
+# (d, k, family): the wave d = 5 quartic and d = 3 sextic, the Schrodinger d = 4 quartic.
+SUPPORTED_CASES = {(5, 2, WAVE), (3, 3, WAVE), (4, 2, SCHRODINGER)}
 
 _Z_LO, _Z_HI = math.log(0.05), math.log(20.0)
 _SIMPLEX_TOL = 1e-5   # Nelder-Mead convergence tolerance on -Q
@@ -140,7 +137,8 @@ def quotient_objective(d: int, k: int, family: str):
     """Quotient evaluator for one supported case; Q = 1 at the sharp family."""
     case = (d, k, family)
     if case not in SUPPORTED_CASES:
-        raise ValueError(f"unsupported search case {case}")
+        raise ValueError(f"unsupported search case {case}, expected one of "
+                         f"{sorted(SUPPORTED_CASES)}")
 
     def evaluate(profile: AnsatzProfile) -> float:
         g = profile.radial_fn()

@@ -49,12 +49,21 @@ class ShellResult:
             raise ValueError("deterministic methods carry stderr = 0")
 
 
-def _check_point(d: int, k: int, p: ConePoint) -> None:
+def check_point(d: int, k: int, p: ConePoint) -> None:
     """check_case(WAVE, d, k), then ValueError unless p is d-dimensional and tau > |xi|."""
     check_case(WAVE, d, k)
     check_length("xi", p.xi, d)
     if not p.interior:
         raise ValueError("shell formulas require tau > |xi|")
+
+
+def check_montecarlo(d: int, k: int, p: ConePoint, epsilon: float, n_samples: int) -> None:
+    """The Monte Carlo route's input rule: check_point, then ValueError unless
+    epsilon is finite and > 0 and n_samples >= MIN_MC_SAMPLES."""
+    check_point(d, k, p)
+    checked_positive(epsilon, "epsilon")
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_MC_SAMPLES}, got {n_samples}")
 
 
 def log_itilde_unit(d: int, k: int) -> float:
@@ -71,7 +80,7 @@ def log_itilde_unit(d: int, k: int) -> float:
 
 def itilde_closed(d: int, k: int, p: ConePoint) -> ShellResult:
     """Closed form Itilde_k(tau, xi) = rho^{alpha(k)} Itilde_k(1, 0)."""
-    _check_point(d, k, p)
+    check_point(d, k, p)
     alpha_k = float(alpha_exponent(d, k))
     value = math.exp(log_itilde_unit(d, k) + alpha_k * math.log(minkowski_form(p)))
     return ShellResult(value, CLOSED_FORM)
@@ -129,7 +138,7 @@ def itilde_recursive(d: int, k: int, p: ConePoint, tol: float = 1e-10) -> ShellR
     iterated down to the k = 2 base |S^{d-1}|/2^{d-2}; each level's
     radial integral is quadrature, never the Beta closed form.
     """
-    _check_point(d, k, p)
+    check_point(d, k, p)
     log_unit = log_sphere_area(d) - (d - 2) * math.log(2.0)
     for j in range(3, k + 1):
         radial = _radial_recursion_integral(d, alpha_exponent(d, j - 1), tol)
@@ -158,10 +167,7 @@ def itilde_montecarlo(
     r^{d-2} dr of the integrand exactly (so it cancels from the weights)
     and the rate centers sum |eta_j| on the shell at tau.
     """
-    _check_point(d, k, p)
-    checked_positive(epsilon, "epsilon")
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError("need n_samples >= 1e4")
+    check_montecarlo(d, k, p, epsilon, n_samples)
     tau, xi = p.tau, np.asarray(p.xi, dtype=float)
     rate = k * (d - 1) / tau
     area = sphere_area(d)

@@ -1,7 +1,9 @@
 """CLI contract: suites, exit codes, reports, determinism, config files."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,34 +265,55 @@ def test_shells_bad_point_exits_2(point):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["bilinear", "--k", "1"], "bilinear needs --k >= 2"),
-    (["bilinear", "--d", "1"], "bilinear needs --d >= 2"),
-    (["bilinear", "--samples", "0", "--random-cases", "0"], "bilinear needs --samples >= 2"),
-    (["bilinear", "--random-cases", "-1"], "--random-cases must be >= 0"),
-    (["corollary", "--d", "4"], "corollary needs --d in [2, 3, 5]"),
-    (["search", "--budget", "0"], "search needs --budget >= 1"),
-    (["search", "--restarts", "0"], "search needs --restarts >= 1"),
-    (["search", "--d", "3"], "search supports (d, k, family)"),
-    (["all", "--d", "4"], "corollary needs --d in [2, 3, 5]"),
-    (["schrodinger-identity", "--grid", "1000"], "grid size must be a power of two >= 256"),
-    (["all", "--grid", "128"], "grid size must be a power of two >= 256"),
-    (["shells", "--epsilon", "0"], "shells needs --epsilon > 0"),
-    (["shells", "--epsilon=-1e-3"], "shells needs --epsilon > 0"),
-    (["shells", "--d", "1"], "shells needs --d >= 2"),
-    (["shells", "--k", "1"], "shells needs --k >= 2"),
-    (["all", "--epsilon", "0"], "shells needs --epsilon > 0"),
-    (["shells", "--d", "0"], "shells needs --d >= 2"),
-    (["bilinear", "--d", "0"], "bilinear needs --d >= 2"),
-    (["bilinear", "--k", "0"], "bilinear needs --k >= 2"),
-    (["corollary", "--d", "0"], "corollary needs --d in [2, 3, 5]"),
-    (["search", "--d", "0"], "search supports (d, k, family)"),
-    (["constants", "--d", "0"], "constants has no catalog row"),
-    (["shells", "--point", "inf,0,0,0"], "--point needs finite values"),
-    (["shells", "--epsilon", "inf"], "shells needs --epsilon > 0 and finite"),
-    (["bilinear", "--d", "2", "--k", "2"], "bilinear has no finite right-hand side"),
-    (["all", "--d", "2"], "bilinear has no finite right-hand side"),
-])
+_K2 = "the wave estimates need an integer k >= 2, got k = "
+_D2 = "the wave estimates need an integer d >= 2, got d = "
+_ONEFN = "the one-function case needs the wave family and d in [2, 3, 5], got 'wave' d = "
+_EPS = "shells: epsilon must be finite and > 0, got "
+_DIVERGES = "bilinear: the wave (d, k) = (2, 2) right-hand side diverges"
+
+# (argv, rule, message): the rule names the row (argv<i>-<rule>), the message
+# is what main prints, the failing library check's message after the suite name.
+_USAGE_ERRORS = [
+    (["bilinear", "--k", "1"], "bilinear needs --k >= 2", "bilinear: " + _K2 + "1"),
+    (["bilinear", "--d", "1"], "bilinear needs --d >= 2", "bilinear: " + _D2 + "1"),
+    (["bilinear", "--samples", "0", "--random-cases", "0"], "bilinear needs --samples >= 2",
+     "bilinear needs --samples >= 2"),
+    (["bilinear", "--random-cases", "-1"], "--random-cases must be >= 0",
+     "--random-cases must be >= 0"),
+    (["corollary", "--d", "4"], "corollary needs --d in [2, 3, 5]", "corollary: " + _ONEFN + "4"),
+    (["search", "--budget", "0"], "search needs --budget >= 1",
+     "search: search needs budget >= 1, got 0"),
+    (["search", "--restarts", "0"], "search needs --restarts >= 1",
+     "search: search needs restarts >= 1, got 0"),
+    (["search", "--d", "3"], "search supports (d, k, family)",
+     "search: unsupported search case (3, 2, 'schrodinger')"),
+    (["all", "--d", "4"], "corollary needs --d in [2, 3, 5]", "corollary: " + _ONEFN + "4"),
+    (["schrodinger-identity", "--grid", "1000"], "grid size must be a power of two >= 256",
+     "grid size must be a power of two >= 256"),
+    (["all", "--grid", "128"], "grid size must be a power of two >= 256",
+     "grid size must be a power of two >= 256"),
+    (["shells", "--epsilon", "0"], "shells needs --epsilon > 0", _EPS + "0.0"),
+    (["shells", "--epsilon=-1e-3"], "shells needs --epsilon > 0", _EPS + "-0.001"),
+    (["shells", "--d", "1"], "shells needs --d >= 2", "shells: " + _D2 + "1"),
+    (["shells", "--k", "1"], "shells needs --k >= 2", "shells: " + _K2 + "1"),
+    (["all", "--epsilon", "0"], "shells needs --epsilon > 0", _EPS + "0.0"),
+    (["shells", "--d", "0"], "shells needs --d >= 2", "shells: " + _D2 + "0"),
+    (["bilinear", "--d", "0"], "bilinear needs --d >= 2", "bilinear: " + _D2 + "0"),
+    (["bilinear", "--k", "0"], "bilinear needs --k >= 2", "bilinear: " + _K2 + "0"),
+    (["corollary", "--d", "0"], "corollary needs --d in [2, 3, 5]", "corollary: " + _ONEFN + "0"),
+    (["search", "--d", "0"], "search supports (d, k, family)",
+     "search: unsupported search case (0, 2, 'schrodinger')"),
+    (["constants", "--d", "0"], "constants has no catalog row", "constants has no catalog row"),
+    (["shells", "--point", "inf,0,0,0"], "--point needs finite values",
+     "shells: a cone point needs a finite tau and xi, got tau = inf"),
+    (["shells", "--epsilon", "inf"], "shells needs --epsilon > 0 and finite", _EPS + "inf"),
+    (["bilinear", "--d", "2", "--k", "2"], "bilinear has no finite right-hand side", _DIVERGES),
+    (["all", "--d", "2"], "bilinear has no finite right-hand side", _DIVERGES),
+]
+
+
+@pytest.mark.parametrize("argv, message", [(argv, message) for argv, _, message in _USAGE_ERRORS],
+                         ids=[f"argv{i}-{rule}" for i, (_, rule, _) in enumerate(_USAGE_ERRORS)])
 def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
@@ -298,3 +321,52 @@ def test_usage_errors_exit_2_before_any_suite_runs(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "cases passed" not in captured.out
+
+
+# The messages of the CLI's own copies of rules the library owns.
+_RETIRED = ["shells needs --d >=", "shells needs --k >= 2", "shells needs --epsilon > 0",
+            "shells needs --samples >=", "--point needs tau and", "--point needs finite values",
+            "--point must lie inside the forward cone", "bilinear needs --d >=",
+            "bilinear needs --k >= 2", "bilinear has no finite right-hand side",
+            "corollary needs --d in", "search supports (d, k, family)",
+            "search needs --budget >= 1", "search needs --restarts >= 1"]
+_LIBRARY_RULES = {"d", "k", "case", "epsilon", "budget", "restarts"}
+
+
+def _flag_rule_comparisons(tree):
+    """Lines outside the suites that compare d, k, the case, epsilon, budget or
+    restarts with a number or a library constant, or the sample count with
+    one other than the bilinear error-bar floor 2: a library rule written out."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+
+    def fixed(n):
+        # numbers, upper-case names and attributes of imported modules only
+        return all(not isinstance(m, (ast.Name, ast.Attribute, ast.Call, ast.Constant))
+                   or (isinstance(m, ast.Constant) and isinstance(m.value, (int, float)))
+                   or (isinstance(m, ast.Name) and (m.id.isupper() or m.id in modules))
+                   or (isinstance(m, ast.Attribute) and isinstance(m.value, ast.Name)
+                       and m.value.id in modules)
+                   for m in ast.walk(n))
+
+    suites = {id(m) for f in tree.body if isinstance(f, ast.FunctionDef)
+              and f.name.startswith("suite_") for m in ast.walk(f)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or id(node) in suites:
+            continue
+        operands = [node.left, *node.comparators]
+        for flag in operands:
+            name = getattr(flag, "id", getattr(flag, "attr", None))
+            bounds = [n for n in operands if n is not flag and fixed(n)]
+            if name == "samples":
+                bounds = [n for n in bounds if getattr(n, "value", None) != 2]
+            if bounds and (name in _LIBRARY_RULES or name == "samples"):
+                yield node.lineno
+
+
+def test_cli_flag_checks_call_the_library_checks():
+    # The CLI keeps only its own rules (the bilinear error-bar floor, the
+    # random case count, an empty constants selection and the --point text).
+    src = Path(cli.__file__).parent
+    assert not list(_flag_rule_comparisons(ast.parse((src / "cli.py").read_text())))
+    assert not [(p.name, m) for p in src.glob("*.py") for m in _RETIRED if m in p.read_text()]

@@ -246,8 +246,9 @@ def _radial(r):
     (lambda: PR.RadialEvaluator(radial_fn=_radial, decay=1.0, d=3, family="heat"), "'heat'"),
     (lambda: SH.itilde_montecarlo(3, 1, ConePoint(1.0, np.zeros(3))), "k = 1"),
     (lambda: FN.onesided_quotient(P.schrodinger_profile(3, -1.0)), "'schrodinger'"),
+    (lambda: FN.multilinear_rhs([P.wave_profile(3, -1.0)]), "k = 1"),
 ], ids=["wave_d0", "wave_d1", "schro_d0", "ansatz_wave_d1", "evaluator_heat",
-        "montecarlo_k1", "onesided_schro"])
+        "montecarlo_k1", "onesided_schro", "multilinear_rhs_k1"])
 def test_out_of_domain_inputs_raise_naming_the_bad_value(build, bad):
     # Each of these once returned a plausible number (or an IndexError).
     with pytest.raises(ValueError, match=bad):
@@ -274,6 +275,7 @@ _S5_PAIR = (P.ExtremalProfile(C.SCHRODINGER, 5, -1.0, sign=1),
             P.ExtremalProfile(C.SCHRODINGER, 5, -1.0, sign=-1))
 _MIXED = r"share \(family, d\), got "
 _SERVES_WAVE = "serves the wave family, got 'schrodinger'"
+_EMPTY = "a case needs at least one profile or field"
 
 
 @pytest.mark.parametrize("call, bad", [
@@ -297,14 +299,19 @@ _SERVES_WAVE = "serves the wave family, got 'schrodinger'"
      "v has 1 coordinates, the case has d = 3"),
     (lambda: FN.multilinear_rhs([_W3, _W5], n_samples=10 ** 4),
      _MIXED + r"\('wave', 3\) and \('wave', 5\)"),
+    (lambda: FN.product_l2_sq([]), _EMPTY),
+    (lambda: FN.spacetime_integral(lambda t, r: t * r, []), _EMPTY),
+    (lambda: FN.MappedEvaluator(np.add), _EMPTY),
 ], ids=["product_d3_d5", "product_d5_d3", "product_wave_schro", "mapped_d3_d5",
         "split_check_d3_d5", "split_check_schro", "energy_quotient_schro",
         "center_value_schro", "lambda_amplitude_short_x", "compose_translate",
-        "compose_galilean", "galilean_map", "multilinear_rhs_d3_d5"])
+        "compose_galilean", "galilean_map", "multilinear_rhs_d3_d5", "product_empty",
+        "spacetime_integral_empty", "mapped_empty"])
 def test_every_routine_that_takes_a_case_applies_the_case_rule(call, bad):
     # Each of these once returned a number (a d = 3 field read as d = 5, a
     # Schrodinger pair scored against the wave constant), a sum of vectors
-    # of two lengths, a numpy shape error or another message.
+    # of two lengths, a numpy shape error or another message; an empty case
+    # failed with a bare unpacking error.
     with pytest.raises(ValueError, match=bad):
         call()
 

@@ -229,6 +229,22 @@ def test_shell_routes_reject_a_point_of_another_dimension(call):
         call()
 
 
+@pytest.mark.parametrize("tau, xi", [(math.inf, [0.0, 0.0, 0.0]), (1.0, [math.nan, 0.0, 0.0]),
+                                     (1.0, [0.0, math.inf, 0.0])], ids=["tau_inf", "xi_nan", "xi_inf"])
+@pytest.mark.parametrize("route", [
+    lambda p: p,
+    lambda p: S.itilde_closed(3, 2, p),
+    lambda p: S.itilde_recursive(3, 2, p),
+    lambda p: S.i_weighted(3, 2, p),
+    lambda p: S.itilde_montecarlo(3, 2, p, n_samples=10 ** 4),
+], ids=["cone_point", "closed", "recursion", "weighted", "monte_carlo"])
+def test_a_cone_point_must_be_finite(route, tau, xi):
+    # At tau = inf the closed form, the recursion and the weighted constant
+    # once returned nan and Monte Carlo failed with a math domain error.
+    with pytest.raises(ValueError, match="a cone point needs a finite tau and xi"):
+        route(ConePoint(tau, np.array(xi)))
+
+
 def test_montecarlo_validation():
     p = pt(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
