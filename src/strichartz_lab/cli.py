@@ -63,8 +63,7 @@ def _check_constants(args):
     fams = list(C.FAMILIES) if args.family is None else [args.family]
     rows = C.constants_rows(ds, ks, fams)
     if not rows:
-        raise ValueError(f"constants has no catalog row for d in {ds}, k in {ks}, "
-                         f"family in {fams}")
+        raise ValueError(f"no catalog row for d in {ds}, k in {ks}, family in {fams}")
     return rows
 
 
@@ -132,7 +131,7 @@ def _check_bilinear(args):
     d, k = _flag(args, "d", 5), _flag(args, "k", 2)
     C.check_rhs_finite(C.WAVE, d, k)
     if args.samples < 2:
-        raise ValueError(f"bilinear needs --samples >= 2 for a Monte Carlo error bar, "
+        raise ValueError(f"--samples must be >= 2 for a Monte Carlo error bar, "
                          f"got {args.samples}")
     if args.random_cases < 0:
         raise ValueError(f"--random-cases must be >= 0, got {args.random_cases}")

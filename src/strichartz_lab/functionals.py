@@ -418,7 +418,7 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
 
         def sample_weights(rng, m):
             radii = rng.gamma(shape=d - 1, scale=1.0, size=(m, k)) / rates[None, :]
-            return blockwise(block_weights, radii, unit_directions(rng, m, k, d))
+            return blockwise(m, lambda n: unit_directions(rng, n, k, d), block_weights, radii)
 
         def block_weights(radii, dirs):
             eta = radii[:, :, None] * dirs
@@ -441,7 +441,7 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
         )
 
         def sample_weights(rng, m):
-            return blockwise(block_weights, rng.normal(size=(m, k, d)))
+            return blockwise(m, lambda n: rng.normal(size=(n, k, d)), block_weights)
 
         def block_weights(z):
             eta = means[None, :, :] + z / np.sqrt(4.0 * sigmas[None, :, None])
@@ -450,7 +450,8 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
                 w = w * schro_weight_sq_batch(eta) ** beta
             return w
 
-    # A chunk's samples are drawn whole, so those of a given (seed, n) do
+    # A chunk's wave radii are drawn whole and its normals block by block,
+    # in the order of one whole draw, so the samples of a given (seed, n) do
     # not depend on the row blocks its weights are built in.
     return mc_mean(sample_weights, n_samples, seed)
 

@@ -44,6 +44,13 @@ class ConePoint:
         """Strictly inside the forward light cone (tau > |xi|)."""
         return self.tau > float(np.linalg.norm(self.xi))
 
+    def check_interior(self) -> None:
+        """ValueError unless the point is interior (tau > |xi|)."""
+        if not self.interior:
+            raise ValueError(f"a cone point must lie strictly inside the forward cone "
+                             f"(tau > |xi|), got tau = {self.tau!r}, "
+                             f"|xi| = {float(np.linalg.norm(self.xi))!r}")
+
 
 def minkowski_form(p: ConePoint) -> float:
     """rho(tau, xi) = tau^2 - |xi|^2."""
@@ -87,8 +94,7 @@ def lorentz_boost(v, p: ConePoint) -> ConePoint:
 
 def normalizing_boost(p: ConePoint) -> np.ndarray:
     """Velocity v = -xi/tau whose boost sends (sqrt(rho), 0) to (tau, xi)."""
-    if not p.interior:
-        raise ValueError("point must lie strictly inside the forward cone")
+    p.check_interior()
     return -p.xi / p.tau
 
 

@@ -8,6 +8,12 @@ i and merge the chunks in index order, so the estimate for a given
 centred sums of squares (Chan, Golub & LeVeque), so constant weights
 give a standard error at rounding level rather than the cancellation
 noise of E[w^2] - E[w]^2.
+
+A sampler streams each chunk through row blocks of ROW_BLOCK samples
+(`blockwise`), drawing a block's direction normals just before its
+weights.  A generator fills its draws in order from one bit stream, so
+normals drawn block by block have the bits of one whole draw, and the
+samples do not depend on ROW_BLOCK.
 """
 
 from __future__ import annotations
@@ -68,12 +74,15 @@ def row_blocks(m: int) -> list:
     return [slice(lo, lo + ROW_BLOCK) for lo in range(0, m, ROW_BLOCK)]
 
 
-def blockwise(weights, *arrays) -> np.ndarray:
-    """weights(*(a[rows] for a in arrays)) over the row_blocks of the
-    arrays' common first axis, concatenated: per-sample weights keep their
-    bits, and their temporaries are sized by a block, not by the arrays."""
-    return np.concatenate([weights(*(a[rows] for a in arrays))
-                           for rows in row_blocks(len(arrays[0]))])
+def blockwise(m: int, draw, weights, *arrays) -> np.ndarray:
+    """The m weights of one chunk over its row_blocks, in order: for a block
+    of n rows, weights(*(a[rows] for a in arrays), draw(n)).  The arrays hold
+    samples drawn whole beforehand, draw(n) draws the block's fresh ones;
+    weights keep their bits, and draws and temporaries are a block's size."""
+    w = np.empty(m)
+    for rows in row_blocks(m):
+        w[rows] = weights(*(a[rows] for a in arrays), draw(min(rows.stop, m) - rows.start))
+    return w
 
 
 def row_sum(a: np.ndarray) -> np.ndarray:
@@ -99,13 +108,13 @@ def row_norm(a: np.ndarray) -> np.ndarray:
 def unit_directions(rng: np.random.Generator, m: int, k: int, d: int) -> np.ndarray:
     """m samples of k independent uniform directions on S^{d-1}, shape (m, k, d).
 
-    One normal draw of shape (m, k, d), each d-vector scaled to unit length.
+    One normal draw of shape (m, k, d), each d-vector scaled to unit length;
+    the samplers ask for one row block at a time (`blockwise`).
     """
     dirs = rng.normal(size=(m, k, d))
-    for rows in row_blocks(m):
-        for j in range(k):
-            u = dirs[rows, j]
-            length = row_norm(u)
-            for c in range(d):
-                u[:, c] /= length
+    for j in range(k):
+        u = dirs[:, j]
+        length = row_norm(u)
+        for c in range(d):
+            u[:, c] /= length
     return dirs

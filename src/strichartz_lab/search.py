@@ -179,11 +179,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.budget < 1:
-            raise ValueError(f"search needs budget >= 1, got {self.budget}")
+            raise ValueError(f"need budget >= 1, got {self.budget}")
         if self.restarts < 1:
-            raise ValueError(f"search needs restarts >= 1, got {self.restarts}")
+            raise ValueError(f"need restarts >= 1, got {self.restarts}")
         if not 1 <= self.m <= _MAX_M:
-            raise ValueError(f"search needs m in 1..{_MAX_M}, got {self.m}")
+            raise ValueError(f"need m in 1..{_MAX_M}, got {self.m}")
 
 
 def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),

@@ -50,11 +50,11 @@ class ShellResult:
 
 
 def check_point(d: int, k: int, p: ConePoint) -> None:
-    """check_case(WAVE, d, k), then ValueError unless p is d-dimensional and tau > |xi|."""
+    """check_case(WAVE, d, k), then ValueError unless p is d-dimensional and
+    interior (ConePoint.check_interior)."""
     check_case(WAVE, d, k)
     check_length("xi", p.xi, d)
-    if not p.interior:
-        raise ValueError("shell formulas require tau > |xi|")
+    p.check_interior()
 
 
 def check_montecarlo(d: int, k: int, p: ConePoint, epsilon: float, n_samples: int) -> None:
@@ -201,8 +201,7 @@ def itilde_montecarlo(
 
     def sample_weights(rng, m):
         radii = rng.gamma(shape=d - 1, scale=1.0 / rate, size=(m, k - 1))
-        dirs = unit_directions(rng, m, k - 1, d)
-        return blockwise(block_weights, radii, dirs)
+        return blockwise(m, lambda n: unit_directions(rng, n, k - 1, d), block_weights, radii)
 
     est = mc_mean(sample_weights, n_samples, seed)
     return ShellResult(est.mean, MONTE_CARLO, est.stderr)

@@ -277,14 +277,14 @@ _USAGE_ERRORS = [
     (["bilinear", "--k", "1"], "bilinear needs --k >= 2", "bilinear: " + _K2 + "1"),
     (["bilinear", "--d", "1"], "bilinear needs --d >= 2", "bilinear: " + _D2 + "1"),
     (["bilinear", "--samples", "0", "--random-cases", "0"], "bilinear needs --samples >= 2",
-     "bilinear needs --samples >= 2"),
+     "bilinear: --samples must be >= 2 for a Monte Carlo error bar, got 0"),
     (["bilinear", "--random-cases", "-1"], "--random-cases must be >= 0",
      "--random-cases must be >= 0"),
     (["corollary", "--d", "4"], "corollary needs --d in [2, 3, 5]", "corollary: " + _ONEFN + "4"),
     (["search", "--budget", "0"], "search needs --budget >= 1",
-     "search: search needs budget >= 1, got 0"),
+     "search: need budget >= 1, got 0"),
     (["search", "--restarts", "0"], "search needs --restarts >= 1",
-     "search: search needs restarts >= 1, got 0"),
+     "search: need restarts >= 1, got 0"),
     (["search", "--d", "3"], "search supports (d, k, family)",
      "search: unsupported search case (3, 2, 'schrodinger')"),
     (["all", "--d", "4"], "corollary needs --d in [2, 3, 5]", "corollary: " + _ONEFN + "4"),
@@ -303,7 +303,8 @@ _USAGE_ERRORS = [
     (["corollary", "--d", "0"], "corollary needs --d in [2, 3, 5]", "corollary: " + _ONEFN + "0"),
     (["search", "--d", "0"], "search supports (d, k, family)",
      "search: unsupported search case (0, 2, 'schrodinger')"),
-    (["constants", "--d", "0"], "constants has no catalog row", "constants has no catalog row"),
+    (["constants", "--d", "0"], "constants has no catalog row",
+     "constants: no catalog row for d in [0]"),
     (["shells", "--point", "inf,0,0,0"], "--point needs finite values",
      "shells: a cone point needs a finite tau and xi, got tau = inf"),
     (["shells", "--epsilon", "inf"], "shells needs --epsilon > 0 and finite", _EPS + "inf"),

@@ -368,9 +368,17 @@ def test_multilinear_rhs_row_blocks_are_bit_identical_to_whole_chunks(family, n,
 
 def test_multilinear_rhs_working_set_is_a_row_block(traced_peak):
     # One chunk of 2^17 samples at (5, 2): the weights once took 29.4 MB
-    # of temporaries over the whole chunk; in row blocks 16.9 MB.
+    # of temporaries over the whole chunk; in row blocks 16.9 MB, and with
+    # the direction normals drawn block by block too, 7.9 MB.
     p = P.wave_profile(5, -1.0)
-    assert traced_peak(FN.multilinear_rhs, [p, p], n_samples=MC.CHUNK, seed=0) <= 20e6
+    assert traced_peak(FN.multilinear_rhs, [p, p], n_samples=MC.CHUNK, seed=0) <= 10e6
+
+
+def test_schrodinger_rhs_working_set_is_a_row_block(traced_peak):
+    # One chunk of 2^17 samples at (3, 3): the normals drawn whole once
+    # took 12.8 MB; block by block 4.7 MB.
+    tup = _RHS_TUPLES[SCHRODINGER]
+    assert traced_peak(FN.multilinear_rhs, tup, n_samples=MC.CHUNK, seed=0) <= 6e6
 
 
 @pytest.mark.parametrize("d, seed", [(3, 31), (4, 41), (5, 51)])

@@ -10,7 +10,7 @@ from scipy import integrate
 from strichartz_lab import mc as MC
 from strichartz_lab import shells as S
 from strichartz_lab.constants import alpha_exponent, beta_fn, log_sphere_area, sphere_area
-from strichartz_lab.geometry import ConePoint, lorentz_boost
+from strichartz_lab.geometry import ConePoint, lorentz_boost, normalizing_boost
 
 
 def pt(tau, *xi):
@@ -245,6 +245,23 @@ def test_a_cone_point_must_be_finite(route, tau, xi):
         route(ConePoint(tau, np.array(xi)))
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.6], ids=["on_the_cone", "outside"])
+@pytest.mark.parametrize("route", [
+    lambda p: p.check_interior(),
+    normalizing_boost,
+    lambda p: S.itilde_closed(3, 2, p),
+    lambda p: S.itilde_recursive(3, 2, p),
+    lambda p: S.i_weighted(3, 2, p),
+    lambda p: S.itilde_montecarlo(3, 2, p, n_samples=10 ** 4),
+], ids=["cone_point", "normalizing_boost", "closed", "recursion", "weighted", "monte_carlo"])
+def test_every_cone_route_raises_the_one_interior_message(route, tau):
+    # The boost once said "point must lie strictly inside the forward cone"
+    # and the shell routes "shell formulas require tau > |xi|".
+    with pytest.raises(ValueError, match=r"a cone point must lie strictly inside the forward "
+                                         r"cone \(tau > \|xi\|\), got tau = "):
+        route(pt(tau, 0.6, 0.8, 0.0))
+
+
 def test_montecarlo_validation():
     p = pt(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
@@ -336,6 +353,49 @@ def test_unit_directions_are_unit_vectors_of_one_normal_draw():
     z = MC.chunk_generator(5, 0).normal(size=(m, k, d))
     assert dirs.shape == (m, k, d)
     assert np.array_equal(dirs, z / np.linalg.norm(z, axis=2, keepdims=True))
+
+
+@pytest.mark.parametrize("m", [1, 2 ** 14 - 1, 2 ** 14 + 1, MC.CHUNK + 3])
+def test_normals_drawn_in_row_blocks_are_one_whole_draw(m):
+    # The samplers draw a chunk's radii whole, then its normals block by block.
+    k, d = 3, 4
+
+    def after_gamma():
+        rng = MC.chunk_generator(12, 0)
+        return rng, rng.gamma(shape=d - 1, size=(m, k))
+
+    rng, radii = after_gamma()
+    whole = rng.normal(size=(m, k, d))
+    rng, radii = after_gamma()
+    seen = []
+
+    def weights(r, z):
+        seen.append((r, z))
+        return np.zeros(len(z))
+
+    MC.blockwise(m, lambda n: rng.normal(size=(n, k, d)), weights, radii)
+    assert len(seen) == len(MC.row_blocks(m))
+    assert np.array_equal(np.concatenate([r for r, _ in seen]), radii)
+    assert np.array_equal(np.concatenate([z for _, z in seen]), whole)
+
+
+@pytest.mark.parametrize("d, k", [(2, 3), (5, 4)])
+@pytest.mark.parametrize("n", [2 ** 14 - 1, 2 ** 14 + 1, 5 * 10 ** 4, 2 ** 17 + 3])
+def test_montecarlo_row_blocks_are_bit_identical_to_whole_chunks(d, k, n, monkeypatch):
+    # n starts at the sampler's floor MIN_MC_SAMPLES; one block per chunk is the whole draw.
+    p = _off_axis_point(d)
+    got = S.itilde_montecarlo(d, k, p, n_samples=n, seed=9)
+    monkeypatch.setattr(MC, "ROW_BLOCK", MC.CHUNK)
+    want = S.itilde_montecarlo(d, k, p, n_samples=n, seed=9)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
+def test_montecarlo_working_set_is_a_row_block(traced_peak):
+    # One chunk of 2^17 samples at (5, 4): its direction normals, drawn
+    # whole, once took 15.7 MB and the call 21.5 MB; block by block 7.9 MB.
+    peak = traced_peak(S.itilde_montecarlo, 5, 4, pt(1.0, 0, 0, 0, 0, 0),
+                       n_samples=MC.CHUNK, seed=0)
+    assert peak <= 10e6
 
 
 def test_shell_result_invariants():
