@@ -26,6 +26,7 @@ from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_f
 from .quadrules import QuadratureError, angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
 
 _PANEL_ORDER = 8  # Gauss-Legendre nodes per panel of the (t, r) quadratures
+_NORM_NODES = 800  # Gauss nodes of a radial data-norm rule
 # The d = 4 Schrodinger mixed-norm constant (32 pi)^{-1/4}.
 SCHRO_D4_CONSTANT = (32.0 * math.pi) ** -0.25
 
@@ -65,6 +66,25 @@ class QuotientReport:
     def strict(self) -> bool:
         """A deficit counts as strict only beyond 10 x numerical error."""
         return self.deficit > 10.0 * self.combined_err
+
+
+def onefn_report(d: int, lhs: float, lhs_err: float, H: float, E: float) -> QuotientReport:
+    """The wave alpha(k) = 1 quotient ||u||_{2k} / (C(d) H^{k-2} E^2)^{1/(2k)}.
+
+    H = ||f||_{H^{1/2}}^2, E = ||f||_{H^1}^2 and k = onefn_degree(WAVE, d);
+    the ratio is 1 exactly on the extremal family.
+    """
+    k = C.onefn_degree(WAVE, d)
+    return QuotientReport(lhs=lhs, lhs_err=lhs_err,
+                          rhs=(H ** (k - 2) * E * E) ** (1.0 / (2.0 * k)), rhs_err=0.0,
+                          constant=C.wave_onefn_constant(d) ** (1.0 / (2.0 * k)))
+
+
+def mixed_norm_report(lhs: float, lhs_err: float, l2: float, h1: float) -> QuotientReport:
+    """The d = 4 Schrodinger quotient ||u||_4 / ((32 pi)^{-1/4} (l2 h1)^{1/4}), where
+    l2 = ||f||_2^2 and h1 = ||grad f||_2^2."""
+    return QuotientReport(lhs=lhs, lhs_err=lhs_err, rhs=(l2 * h1) ** 0.25, rhs_err=0.0,
+                          constant=SCHRO_D4_CONSTANT)
 
 
 def _round15(obj):
@@ -538,22 +558,13 @@ def term_II(p: ExtremalProfile) -> dict:
 def onesided_quotient(profile: ExtremalProfile) -> QuotientReport:
     """One-sided L^{2k} quotient against the collapsed sharp constant.
 
-    lhs = ||u||_{2k},  rhs = (C(d) H^{k-2} E^2)^{1/(2k)}, so ratio = 1
-    exactly on the extremal family (Re b = 0).
+    lhs = ||u||_{2k} against (C(d) H^{k-2} E^2)^{1/(2k)} (onefn_report), so
+    ratio = 1 exactly on the extremal family (Re b = 0).
     """
-    d, k = profile.d, C.onefn_degree(profile.family, profile.d)
+    k = C.onefn_degree(profile.family, profile.d)
     lhs, lhs_err = lp_norm_radial(RadialEvaluator(profile), 2 * k)
-    H = sobolev_norm_sq(profile, 0.5)
-    E = sobolev_norm_sq(profile, 1.0)
-    rhs = (H ** (k - 2) * E * E) ** (1.0 / (2.0 * k))
-    const = C.wave_onefn_constant(d) ** (1.0 / (2.0 * k))
-    return QuotientReport(
-        lhs=lhs,
-        lhs_err=lhs_err,
-        rhs=rhs,
-        rhs_err=0.0,
-        constant=const,
-    )
+    return onefn_report(profile.d, lhs, lhs_err, sobolev_norm_sq(profile, 0.5),
+                        sobolev_norm_sq(profile, 1.0))
 
 
 def _split_pair_fields(f_plus: ExtremalProfile, f_minus: ExtremalProfile):
@@ -681,17 +692,8 @@ def mixed_norm_quotient(p: ExtremalProfile) -> QuotientReport:
     """
     if p.d != 4:
         raise ValueError("the mixed-norm corollary is the d = 4 case")
-    lhs = gaussian_l4_norm(p)
-    l2 = sobolev_norm_sq(p, 0.0)
-    h1 = sobolev_norm_sq(p, 1.0)
-    rhs = (l2 * h1) ** 0.25
-    return QuotientReport(
-        lhs=lhs,
-        lhs_err=0.0,
-        rhs=rhs,
-        rhs_err=0.0,
-        constant=SCHRO_D4_CONSTANT,
-    )
+    return mixed_norm_report(gaussian_l4_norm(p), 0.0, sobolev_norm_sq(p, 0.0),
+                             sobolev_norm_sq(p, 1.0))
 
 
 _FIBER_BLOCK = 2 ** 15  # most tensor entries a fiber routine evaluates at once
@@ -786,9 +788,9 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
 
 
-def _radial_norm_sq(radial_fn, d: int, power: float, rmax: float) -> float:
-    """(2pi)^{-d} |S^{d-1}| int_0^rmax |g(r)|^2 r^power dr, 800 Gauss nodes."""
-    r, wr = _gauss_nodes(800, 0.0, rmax)
+def _radial_norm_sq(radial_fn, d: int, power: float, nodes) -> float:
+    """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^power dr on the rule nodes = (r, wr)."""
+    r, wr = nodes
     g = np.abs(np.asarray(radial_fn(r))) ** 2
     val = float(np.dot(wr, g * r ** power))
     return sphere_area(d) * val / (2.0 * math.pi) ** d
@@ -796,18 +798,19 @@ def _radial_norm_sq(radial_fn, d: int, power: float, rmax: float) -> float:
 
 def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
-    rmax = 80.0 / checked_positive(decay, "decay")
-    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rmax)
+    rule = _gauss_nodes(_NORM_NODES, 0.0, 80.0 / checked_positive(decay, "decay"))
+    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rule)
 
 
-def _schro_norm_rmax(decay: float) -> float:
-    """Span of the Schrodinger data-norm rule: e^{-2 decay r^2} < 1e-280 past it."""
-    return math.sqrt(-math.log(1e-280) / (2.0 * checked_positive(decay, "decay"))) + 3.0
+def _schro_norm_nodes(decay: float):
+    """The Schrodinger data-norm rule, on [0, R] with e^{-2 decay r^2} < 1e-280 past R."""
+    rmax = math.sqrt(-math.log(1e-280) / (2.0 * checked_positive(decay, "decay"))) + 3.0
+    return _gauss_nodes(_NORM_NODES, 0.0, rmax)
 
 
 def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 1} dr for radial fhat = g."""
-    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, _schro_norm_rmax(decay))
+    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, _schro_norm_nodes(decay))
 
 
 def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> QuotientReport:
@@ -828,7 +831,7 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
         lhs = v2 ** 0.25
         lhs_err = lhs * abs(v2 - v1) / v2 / 4.0
     elif route == "propagator":
-        r, _ = _gauss_nodes(800, 0.0, _schro_norm_rmax(decay))
+        r, _ = _schro_norm_nodes(decay)
         if np.any(np.abs(np.asarray(radial_fn(r))) > np.exp(-decay * r * r)):
             raise ValueError("route 'propagator' needs |g(rho)| <= e^{-decay rho^2}")
         ev = RadialEvaluator(radial_fn=radial_fn, decay=decay, d=d, family=SCHRODINGER,
@@ -838,14 +841,7 @@ def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> Quot
                                       max_levels=4, ext_factor=1.6)
     else:
         raise ValueError(f"unknown route {route!r}")
-    rhs = (l2 * h1) ** 0.25
-    return QuotientReport(
-        lhs=lhs,
-        lhs_err=lhs_err,
-        rhs=rhs,
-        rhs_err=0.0,
-        constant=SCHRO_D4_CONSTANT,
-    )
+    return mixed_norm_report(lhs, lhs_err, l2, h1)
 
 
 # ---------------------------------------------------------------------------

@@ -381,17 +381,10 @@ def wave_eval(p: ExtremalProfile, t: float, r: float, method: str = "auto") -> c
 
 
 def wave_center_value(p: ExtremalProfile, t: float) -> complex:
-    """Exact u(t, center) = (2pi)^{-d} |S^{d-1}| Gamma(d-1) e^c / (-(a + i s t))^{d-1}."""
-    d = p.d
-    check_case(p.family, d, serves=(WAVE,))
+    """Exact u(t, center) = C0 e^c / ((2pi)^d (-(a + i s t))^{d-1}), C0 = center_line_constant."""
+    check_case(p.family, p.d, serves=(WAVE,))
     z = -(p.a + 1j * p.sign * t)
-    return (
-        np.exp(p.c)
-        * sphere_area(d)
-        * math.gamma(d - 1)
-        / (2.0 * math.pi) ** d
-        / z ** (d - 1)
-    )
+    return np.exp(p.c) * center_line_constant(p.d) / (2.0 * math.pi) ** p.d / z ** (p.d - 1)
 
 
 # ---------------------------------------------------------------------------

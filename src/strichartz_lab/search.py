@@ -11,26 +11,26 @@ for the Schrodinger family (Gaussian extremizers).  Scale and phase are
 quotiented out by the objective itself; translations and tilts are not
 parameterised at all.  The optimiser is Nelder-Mead with seeded random
 restarts (the objective is quadrature-backed and mildly noisy, so
-derivative-free is the right tool).
+derivative-free is the right tool).  The objective scores each case with
+the report builder the verification routines use (functionals.onefn_report
+or functionals.mixed_norm_report).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import optimize
 
-from .constants import WAVE, SCHRODINGER, check_case, wave_onefn_constant
+from .constants import WAVE, SCHRODINGER, check_case
 from . import functionals as FN
 from .mc import chunk_generator
 from .profiles import symmetry_apply
 from .propagators import QuadSpec, RadialEvaluator
 from .quadrules import QuadratureError
-
-# (d, k, family): the wave d = 5 quartic and d = 3 sextic, the Schrodinger d = 4 quartic.
-SUPPORTED_CASES = {(5, 2, WAVE), (3, 3, WAVE), (4, 2, SCHRODINGER)}
 
 _Z_LO, _Z_HI = math.log(0.05), math.log(20.0)
 _SIMPLEX_TOL = 1e-5   # Nelder-Mead convergence tolerance on -Q
@@ -133,39 +133,48 @@ class SearchTrace:
         return [q for _, q in self.iterates]
 
 
+def _wave_fiber_lhs(p: AnsatzProfile, g):
+    return FN.wave_bilinear_lhs_fiber(g, g, p.d, p.decay_rate) ** 0.25, math.nan
+
+
+def _schro_fiber_lhs(p: AnsatzProfile, g):
+    return FN.schro_quartic_norm4(g, p.d, p.decay_rate) ** 0.25, math.nan
+
+
+def _sextic_lhs(p: AnsatzProfile, g):
+    # The d = 3 sextic by the propagator route (slowest case).
+    ev = RadialEvaluator(radial_fn=g, decay=p.decay_rate, amp_bound=p.amp_bound(), d=p.d,
+                         family=WAVE, quad=QuadSpec(rel_tol=1e-4, abs_tol=1e-10))
+    win = FN.default_window([ev], tail_factor=6.0)
+    return FN.lp_norm_radial(ev, 6, window=win, rel_tol=8e-4, max_levels=3, ext_factor=1.4)
+
+
+# (d, k, family) -> (LHS route giving (lhs, lhs_err), orders s of the two data
+# norms ||f||_{H^s}^2, report builder).  The fiber routes run at one resolution
+# and so report no error (nan): their ~1e-5 quadrature level is far below any
+# feature of the simplex landscape.  Routes and norms read FN at call time, so
+# a wrapper swapped into FN sees every call.
+_CASES = {
+    (5, 2, WAVE): (_wave_fiber_lhs, (0.5, 1.0), partial(FN.onefn_report, 5)),
+    (3, 3, WAVE): (_sextic_lhs, (0.5, 1.0), partial(FN.onefn_report, 3)),
+    (4, 2, SCHRODINGER): (_schro_fiber_lhs, (0.0, 1.0), FN.mixed_norm_report),
+}
+SUPPORTED_CASES = _CASES.keys()
+
+
 def quotient_objective(d: int, k: int, family: str):
-    """Quotient evaluator for one supported case; Q = 1 at the sharp family."""
+    """Quotient evaluator for one supported case: the ratio of its report, 1 at the sharp family."""
     case = (d, k, family)
     if case not in SUPPORTED_CASES:
         raise ValueError(f"unsupported search case {case}, expected one of "
                          f"{sorted(SUPPORTED_CASES)}")
+    lhs_route, orders, build = _CASES[case]
 
     def evaluate(profile: AnsatzProfile) -> float:
         g = profile.radial_fn()
-        sigma = profile.decay_rate
-        if case == (4, 2, SCHRODINGER):
-            # Single-resolution fiber integral: the ~1e-5 quadrature level
-            # is far below any feature of the simplex landscape.
-            lhs4 = FN.schro_quartic_norm4(g, 4, sigma)
-            l2 = FN.schro_radial_norm_sq(g, 4, 0.0, sigma)
-            h1 = FN.schro_radial_norm_sq(g, 4, 1.0, sigma)
-            return lhs4 ** 0.25 / (FN.SCHRO_D4_CONSTANT * (l2 * h1) ** 0.25)
-        if case == (5, 2, WAVE):
-            lhs4 = FN.wave_bilinear_lhs_fiber(g, g, 5, sigma)
-            E = FN.wave_radial_norm_sq(g, 5, 1.0, sigma)
-            return lhs4 ** 0.25 / ((wave_onefn_constant(5) * E * E) ** 0.25)
-        # (3, 3, WAVE): sextic via the propagator route (slowest case).
-        ev = RadialEvaluator(
-            radial_fn=g, decay=sigma, amp_bound=profile.amp_bound(), d=3,
-            family=WAVE, quad=QuadSpec(rel_tol=1e-4, abs_tol=1e-10),
-        )
-        win = FN.default_window([ev], tail_factor=6.0)
-        lhs, _ = FN.lp_norm_radial(ev, 6, window=win, rel_tol=8e-4, max_levels=3,
-                                   ext_factor=1.4)
-        H = FN.wave_radial_norm_sq(g, 3, 0.5, sigma)
-        E = FN.wave_radial_norm_sq(g, 3, 1.0, sigma)
-        rhs = (H * E * E) ** (1.0 / 6.0)
-        return lhs / (wave_onefn_constant(3) ** (1.0 / 6.0) * rhs)
+        norm_sq = FN.wave_radial_norm_sq if family == WAVE else FN.schro_radial_norm_sq
+        norms = (norm_sq(g, d, s, profile.decay_rate) for s in orders)
+        return build(*lhs_route(profile, g), *norms).ratio
 
     return evaluate
 
@@ -193,8 +202,8 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
     The recorded trace holds every evaluation that beats the running
     maximum of all restarts so far, so its quotient sequence is
     increasing by construction; identical (seed, config) reruns produce
-    bit-identical traces.  Exhausting the budget without meeting the
-    simplex tolerance leaves terminated_by = 'budget' (partial result).
+    bit-identical traces.  terminated_by is 'tolerance' only when every
+    restart met the simplex tolerance, else 'budget' (partial result).
     An evaluation whose quadrature fails scores quotient 0 and is counted
     in diag['failed_evals']; any other error propagates.  An explicit x0
     must be a finite vector of config.m entries (ValueError otherwise).
@@ -205,7 +214,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
         if x0.shape != (config.m,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be a finite vector of m = {config.m} entries")
     rng = chunk_generator(config.seed, 0)
-    trace = SearchTrace()
+    trace = SearchTrace(terminated_by="tolerance")
     best_q = -math.inf
     evals_used = failed_evals = 0
 
@@ -242,8 +251,8 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
                 "adaptive": True,
             },
         )
-        if res.success:
-            trace.terminated_by = "tolerance"
+        if not res.success:
+            trace.terminated_by = "budget"
 
     if not trace.iterates:
         raise RuntimeError("every objective evaluation failed; no usable iterate")

@@ -577,6 +577,23 @@ def test_schro_identity_grid():
     assert res["rel_err"] < 0.01
 
 
+def test_mixed_norm_constant_is_the_catalog_constant():
+    # The literal (32 pi)^{-1/4} stays (the frozen search values read it); it
+    # is held to the catalog's S(4, 2) collapse, which it misses by 1 ulp.
+    assert FN.SCHRO_D4_CONSTANT == pytest.approx(C.schro_onefn_constant(4) ** 0.25, rel=4e-16)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_onefn_report_scores_against_the_collapsed_constant(d):
+    k = C.onefn_degree(WAVE, d)
+    H, E = 0.7, 1.3
+    lhs = (C.wave_onefn_constant(d) * H ** (k - 2) * E * E) ** (1.0 / (2 * k))
+    rep = FN.onefn_report(d, lhs, 1e-9, H, E)
+    assert rep.ratio == pytest.approx(1.0, rel=1e-14) and rep.lhs_err == 1e-9
+    with pytest.raises(ValueError, match="'wave' d = 4"):
+        FN.onefn_report(4, lhs, 0.0, H, E)
+
+
 def test_mixed_norm_quotient_gaussian_and_tilted():
     rep = FN.mixed_norm_quotient(P.schrodinger_profile(4, -1.0))
     assert rep.ratio == pytest.approx(1.0, rel=1e-10)

@@ -1,6 +1,7 @@
 """Extremizer search: ansatz, objectives, traces, symmetry audits."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,3 +260,26 @@ def test_search_counts_quadrature_failures_and_propagates_other_errors(monkeypat
     outcomes[:] = [ValueError("not a quadrature failure")]
     with pytest.raises(ValueError, match="not a quadrature failure"):
         S.search(4, 2, SCHRODINGER, cfg)
+
+
+@pytest.mark.parametrize("met, expected", [
+    ((True, False), "budget"), ((False, True), "budget"), ((True, True), "tolerance"),
+])
+def test_search_reports_tolerance_only_when_every_restart_met_it(monkeypatch, met, expected):
+    successes = list(met)
+
+    def minimize(fun, x0, **kwargs):
+        fun(x0)
+        return SimpleNamespace(success=successes.pop(0))
+
+    monkeypatch.setattr(S, "quotient_objective", lambda d, k, family: lambda profile: 0.5)
+    monkeypatch.setattr(S, "optimize", SimpleNamespace(minimize=minimize))
+    _, trace, _ = S.search(4, 2, SCHRODINGER, S.SearchConfig(budget=1, restarts=2, m=3))
+    assert trace.terminated_by == expected and not successes
+
+
+def test_search_scores_through_the_report_builders_only():
+    # The collapsed constants live in functionals' report builders; the
+    # objective writes neither quotient formula of its own.
+    text = Path(S.__file__).read_text()
+    assert "wave_onefn_constant" not in text and "SCHRO_D4_CONSTANT" not in text
