@@ -43,11 +43,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .constants import WAVE, SCHRODINGER, check_case, check_length, log_sphere_area, sphere_area
 from .profiles import ExtremalProfile, checked_positive
-from .quadrules import QuadratureError, uniform_panels
+from .quadrules import QuadratureError, lazy_module, uniform_panels
+
+special = lazy_module("scipy.special")
 
 # Fixed geometry of the radial quadrature: at least 24 panels (one per
 # oscillation period on a block's base rung, see _base_rung), 48-row time
@@ -296,10 +297,11 @@ class RadialEvaluator:
             stacked[tb.size :] = part.imag
             acc[b] += stacked @ kernel
 
-    def _quad_blocks(self, t, r):
-        """u and its refinement error on t x r by the rung-major radial
-        quadrature: level l of a |t| block is rung base + l, and each rung
-        is built once for all the blocks waiting on it."""
+    def _quad_blocks(self, t, r, with_error: bool):
+        """u on t x r by the rung-major radial quadrature, and its
+        refinement error if with_error (else None): level l of a |t| block
+        is rung base + l, and each rung is built once for all the blocks
+        waiting on it."""
         q = self.quad
         R = self._truncation()
         order = np.argsort(np.abs(t))
@@ -311,7 +313,7 @@ class RadialEvaluator:
             max_freq = t_max + r_max if self.family == WAVE else 2.0 * t_max * R + r_max
             base.append(_base_rung(R * max(max_freq, 1e-9) / (2.0 * math.pi)))
         vals = np.empty((t.size, r.size), dtype=complex)
-        errs = np.empty((t.size, r.size))
+        errs = np.empty((t.size, r.size)) if with_error else None
         prev = [None] * len(blocks)
         pending = list(range(len(blocks)))
         step = max(1, _KERNEL_BLOCK_BYTES // (8 * r.size))
@@ -335,7 +337,9 @@ class RadialEvaluator:
                     err = np.abs(cur - prev[b])
                     scale = np.maximum(np.abs(cur), q.abs_tol / q.rel_tol)
                     if np.all(err <= q.rel_tol * scale + q.abs_tol):
-                        vals[blocks[b]], errs[blocks[b]] = cur, err
+                        vals[blocks[b]] = cur
+                        if with_error:
+                            errs[blocks[b]] = err
                         pending.remove(b)
                         continue
                 if rung - base[b] >= _MAX_LEVELS:
@@ -367,11 +371,12 @@ class RadialEvaluator:
             return (vals, np.zeros(vals.shape)) if with_error else vals
         if r.ndim > 1:
             raise ValueError("the radial quadrature needs a 1-D r grid")
-        vals, errs = self._quad_blocks(t, r)
+        vals, errs = self._quad_blocks(t, r, with_error)
         if modulus:
+            vals = np.abs(vals)
             if with_error:
-                errs = errs * (2.0 * np.abs(vals) + errs)
-            vals = np.abs(vals) ** 2
+                errs = errs * (2.0 * vals + errs)
+            vals *= vals
         return (vals, errs) if with_error else vals
 
 

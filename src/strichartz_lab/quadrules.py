@@ -1,13 +1,31 @@
 """Cached Gauss-Legendre rules (node generation is O(n^2); reuse them),
-the panel and angular rules built on them, and the one exception every
-adaptive quadrature raises.  No other module calls leggauss."""
+the panel and angular rules built on them, the one exception every
+adaptive quadrature raises, and the lazy binding of the scipy subpackages
+behind the special functions, quad and minimize.  No other module calls
+leggauss."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
+
+
+def lazy_module(name: str):
+    """Module `name`, imported on its first attribute access, so a process
+    pays the import time and memory of scipy.special, scipy.integrate or
+    scipy.optimize only on the routes that call it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=64)

@@ -23,14 +23,15 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import optimize
 
 from .constants import WAVE, SCHRODINGER, check_case
 from . import functionals as FN
 from .mc import chunk_generator
 from .profiles import symmetry_apply
 from .propagators import QuadSpec, RadialEvaluator
-from .quadrules import QuadratureError
+from .quadrules import QuadratureError, lazy_module
+
+optimize = lazy_module("scipy.optimize")
 
 _Z_LO, _Z_HI = math.log(0.05), math.log(20.0)
 _SIMPLEX_TOL = 1e-5   # Nelder-Mead convergence tolerance on -Q

@@ -20,14 +20,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .constants import (SCHRODINGER, WAVE, alpha_exponent, beta_exponent, check_case,
                         check_length, log_beta_fn, log_sphere_area, sphere_area)
 from .geometry import ConePoint, minkowski_form
 from .mc import blockwise, mc_mean, row_norm, row_sum, unit_directions
 from .profiles import checked_positive
-from .quadrules import QuadratureError
+from .quadrules import QuadratureError, lazy_module
+
+integrate = lazy_module("scipy.integrate")
 
 CLOSED_FORM = "closed_form"
 RECURSION = "recursion"

@@ -94,6 +94,15 @@ def test_quadrature_working_set_is_a_few_kernel_blocks(traced_peak):
     assert traced_peak(ev.eval_grid, t, r) <= 24e6
 
 
+def test_quadrature_modulus_adds_no_error_array(traced_peak):
+    # The (t x r) error array is built only for with_error=True, and |u|^2
+    # is squared in place: 20.9 MB when both were made on every call.
+    ev = PR.RadialEvaluator(P.wave_profile(5, -1.0), method="quadrature",
+                            quad=PR.QuadSpec(1e-6, 1e-11))
+    t, r = np.linspace(-6.0, 6.0, 576), np.linspace(0.0, 10.0, 448)
+    assert traced_peak(ev.eval_grid, t, r, modulus=True) <= 20e6
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_kernel_blocks_only_regroup_the_rho_sum(d, monkeypatch):
     ev = PR.RadialEvaluator(P.wave_profile(d, complex(-1.0, 0.3), c=0.2), method="quadrature",

@@ -1,8 +1,11 @@
 """One source of Gauss-Legendre panels: the panel rule (row by row on
 batched edges), the uniform panel rule and the rung rules scaled from
-it, and no leggauss outside quadrules."""
+it, and no leggauss outside quadrules; scipy subpackages load on first use."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,3 +71,37 @@ def test_leggauss_is_called_only_in_quadrules():
     users = sorted(p.name for p in src.glob("*.py")
                    if re.search(r"leggauss|legendre", p.read_text()))
     assert users == ["quadrules.py"]
+
+
+# Per subpackage, a module that only executing its __init__ imports, so a
+# placeholder left in sys.modules by a lazy loader does not count as loaded.
+_SCIPY_IMPL = {"special": "scipy.special._ufuncs",
+               "integrate": "scipy.integrate._quadpack_py",
+               "optimize": "scipy.optimize._minimize"}
+
+
+@pytest.mark.parametrize("code, loaded, not_loaded", [
+    ("import contextlib, io, strichartz_lab, strichartz_lab.cli as cli\n"
+     "with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert cli.main(['constants']) == 0",
+     [], ["special", "integrate", "optimize"]),
+    ("import numpy as np\nfrom strichartz_lab import propagators as PR\n"
+     "PR.angular_kernel(4, np.linspace(0.0, 9.0, 7))",
+     ["special"], ["integrate", "optimize"]),
+    ("from strichartz_lab import geometry as G, shells as SH\n"
+     "SH.itilde_recursive(3, 3, G.ConePoint(2.0, (0.3, 0.1, 0.0)))",
+     ["integrate"], []),  # scipy.integrate imports scipy.optimize itself
+    ("import strichartz_lab.search as S\n"
+     "S.search(4, 2, 'schrodinger', S.SearchConfig(budget=1))",
+     ["optimize"], []),
+], ids=["cli_constants", "angular_kernel", "itilde_recursive", "search"])
+def test_scipy_subpackages_load_on_first_use(code, loaded, not_loaded):
+    # A fresh interpreter, so no earlier test has imported scipy already.
+    src = str(Path(strichartz_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (code + "\nimport sys\nprint(*sorted(k for k, m in %r.items() if m in sys.modules))"
+             % _SCIPY_IMPL)
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    have = set(out.split())
+    assert set(loaded) <= have and not have & set(not_loaded), have
