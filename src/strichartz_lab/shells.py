@@ -7,8 +7,9 @@ The k-fold self-convolution of the cone measure mu = |xi|^{-1} delta(tau - |xi|)
 
 is evaluated three independent ways: the closed form (Lorentz reduction
 to (1,0) plus homogeneity), the one-dimensional recursion peeling off
-one frequency at a time, and smoothed importance-sampled Monte Carlo on
-the literal definition.  The paraboloid analogue for the Schrodinger
+one frequency at a time (each level's radial integral by a Gauss-Legendre
+rule that is exact for it), and smoothed importance-sampled Monte Carlo
+on the literal definition.  The paraboloid analogue for the Schrodinger
 k-shell is closed-form only.
 """
 
@@ -26,9 +27,7 @@ from .constants import (SCHRODINGER, WAVE, alpha_exponent, beta_exponent, check_
 from .geometry import ConePoint, minkowski_form
 from .mc import blockwise, mc_mean, row_norm, row_sum, unit_directions
 from .profiles import checked_positive
-from .quadrules import QuadratureError, lazy_module
-
-integrate = lazy_module("scipy.integrate")
+from .quadrules import QuadratureError, gauss_nodes
 
 CLOSED_FORM = "closed_form"
 RECURSION = "recursion"
@@ -100,30 +99,29 @@ def i_weighted(d: int, k: int, p: ConePoint) -> ShellResult:
 
 
 def _radial_recursion_integral(d: int, alpha: Fraction, tol: float) -> float:
-    """int_0^{1/2} (1 - 2r)^{alpha} r^{d-2} dr by adaptive quadrature.
+    """int_0^{1/2} (1 - 2r)^{alpha} r^{d-2} dr by Gauss-Legendre quadrature.
 
-    For non-integer alpha the substitution w = (1-2r)^{1+alpha} removes
-    the endpoint singularity (alpha in [-1/2, 0), all the recursion asks for
-    at d >= 2) or derivative blow-up (fractional alpha > 0):
-
-        I = 1/(2(1+alpha)) int_0^1 ((1 - w^{1/(1+alpha)})/2)^{d-2} dw.
+    With v^2 = 1 - 2r it is int_0^1 v^{2 alpha + 1} ((1 - v^2)/2)^{d-2} dv,
+    a polynomial of degree m = 2 alpha + 1 + 2(d - 2) whenever 2 alpha + 1
+    is a whole number >= 0, as 2 alpha(d, j) + 1 = (d - 1)(j - 1) - 1 is at
+    every level of the recursion.  Gauss-Legendre rules of n and n + 1
+    points with 2n > m are both exact up to rounding: the value is the
+    (n + 1)-point rule's, the error its distance from the n-point rule's.
     """
-    af = float(alpha)
-    if alpha.denominator == 1:
-        fn = lambda r: (1.0 - 2.0 * r) ** af * r ** (d - 2)
-        lo, hi = 0.0, 0.5
-        scale = 1.0
-    else:
-        q = 1.0 / (1.0 + af)
-        fn = lambda w: ((1.0 - w ** q) / 2.0) ** (d - 2)
-        lo, hi = 0.0, 1.0
-        scale = 0.5 * q
-    value, err = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=tol, limit=200)
-    value *= scale
-    err *= scale
-    if value != 0.0 and err > 10.0 * tol * abs(value):
+    power = 2 * alpha + 1
+    if power.denominator != 1 or power < 0:
+        raise ValueError(f"2 alpha + 1 must be a whole number >= 0, got alpha = {alpha}")
+
+    def gauss(n):
+        v, w = gauss_nodes(n, 0.0, 1.0)
+        return float(w @ (v ** int(power) * ((1.0 - v * v) / 2.0) ** (d - 2)))
+
+    n = int(power) // 2 + d - 1
+    value = gauss(n + 1)
+    err = abs(value - gauss(n))
+    if err > 10.0 * tol * value:
         raise QuadratureError(
-            f"recursion quadrature stalled at relative error {err / abs(value):.2e}",
+            f"recursion quadrature stalled at relative error {err / value:.2e}",
             best=value,
             error=err,
         )
@@ -137,7 +135,7 @@ def itilde_recursive(d: int, k: int, p: ConePoint, tol: float = 1e-10) -> ShellR
                     * Itilde_{k-1}(1,0),
 
     iterated down to the k = 2 base |S^{d-1}|/2^{d-2}; each level's
-    radial integral is quadrature, never the Beta closed form.
+    radial integral is Gauss-Legendre quadrature, never the Beta closed form.
     """
     check_point(d, k, p)
     log_unit = log_sphere_area(d) - (d - 2) * math.log(2.0)

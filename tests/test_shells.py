@@ -1,7 +1,9 @@
 """Shell convolutions: closed form, recursion, Monte Carlo, paraboloid."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,24 @@ def test_radial_recursion_integral_vs_beta():
         got = S._radial_recursion_integral(d, alpha, 1e-11)
         want = beta_fn(d - 1, float(alpha) + 1.0) / 2.0 ** (d - 1)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_radial_recursion_integral_is_exact_against_mpmath():
+    # Every level's integrand is a polynomial in v = sqrt(1 - 2r), so the
+    # Gauss-Legendre rule is exact up to rounding.
+    for d in range(2, 8):
+        for j in range(2, 6):
+            alpha = alpha_exponent(d, j)
+            with mpmath.workdps(30):
+                a = mpmath.mpf(alpha.numerator) / alpha.denominator
+                want = mpmath.quad(lambda r: (1 - 2 * r) ** a * r ** (d - 2), [0, 0.5])
+            got = S._radial_recursion_integral(d, alpha, 1e-10)
+            assert abs(got - want) <= 1e-14 * want, (d, j)
+
+
+def test_radial_recursion_integral_needs_a_whole_power():
+    with pytest.raises(ValueError, match="whole number"):
+        S._radial_recursion_integral(3, Fraction(1, 3), 1e-10)
 
 
 def test_i_weighted_constancy_and_values():
