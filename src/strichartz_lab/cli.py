@@ -190,8 +190,7 @@ def suite_corollary(args, d):
               abs(rep.deficit) < 5e-3)
     )
     if d == 5:
-        ev = PR.RadialEvaluator(prof)
-        val, err = FN.product_l2_sq([ev, ev])
+        val = rep.lhs ** 4  # ||u||_4^4, the integral onesided_quotient just took
         target = 1.0 / (6144.0 * math.pi ** 8)
         cases.append(
             _case("corollary", "quartic_norm_d5", val, target, 1.0,

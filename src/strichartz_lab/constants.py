@@ -1,9 +1,10 @@
 """Closed-form scalars of the sharp space-time estimates.
 
 Everything that admits an exact formula lives here: unit-sphere areas,
-the interaction exponents alpha(d,k) and beta(d,k), the sharp bilinear /
-multilinear constants W(d,k) (wave) and S(d,k) (Schrodinger), and the
-collapsed one-function constants of the alpha=1 / beta=1 cases.
+the cone constant C0 = Gamma(d-1)|S^{d-1}|, the interaction exponents
+alpha(d,k) and beta(d,k), the sharp bilinear / multilinear constants
+W(d,k) (wave) and S(d,k) (Schrodinger), and the collapsed one-function
+constants of the alpha=1 / beta=1 cases.
 
 Constants are assembled in log space (log-gamma throughout) and
 exponentiated once: magnitudes like (2*pi)**-14 are far from underflow
@@ -38,6 +39,11 @@ def log_sphere_area(d: int) -> float:
 def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere S^{d-1} in R^d (|S^1| = 2*pi)."""
     return math.exp(log_sphere_area(d))
+
+
+def log_cone_c0(d: int) -> float:
+    """log C0, C0 = Gamma(d-1) |S^{d-1}| = int_{R^d} |eta|^{-1} e^{-|eta|} d eta."""
+    return math.lgamma(d - 1) + log_sphere_area(d)
 
 
 def check_case(family: str, d: int, k: int = 2, serves=FAMILIES) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, blockwise, chunk_generator, mc_mean, unit_directions
-from .profiles import ExtremalProfile, checked_positive, sobolev_norm_sq, wave_profile
+from .profiles import ExtremalProfile, checked_positive, sobolev_norm_sq, wave_moment, wave_profile
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
 from .quadrules import QuadratureError, angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
 
@@ -370,8 +371,8 @@ def lp_norm_radial(evaluator, p: int, **kw):
     Computed as (int int |u|^p |S^{d-1}| r^{d-1} dr dt)^{1/p}; returns
     (norm, error estimate).
     """
-    if p not in (4, 6, 10):
-        raise ValueError("p must be one of 4, 6, 10")
+    if not (isinstance(p, Integral) and p in (4, 6, 10)):
+        raise ValueError(f"p must be one of the integers 4, 6, 10, got {p!r}")
     # Global integrability of a single propagator field: the |t| -> inf
     # slice decays like t^{(d-1)(1-p/2)} (wave ridge) or t^{d(1-p/2)+d/2}
     # (dispersive spreading), so small p diverges in low dimension.
@@ -431,10 +432,8 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
         rates = np.array([2.0 * (p.decay - p.tilt) for p in profiles])
         bvecs = np.stack([p.b.real for p in profiles])
         tilts = np.array([p.tilt for p in profiles])
-        log_const = sum(
-            2.0 * p.c.real + math.log(sphere_area(d)) + math.lgamma(d - 1) - (d - 1) * math.log(rate)
-            for p, rate in zip(profiles, rates)
-        )
+        log_const = sum(2.0 * p.c.real + C.log_cone_c0(d) - (d - 1) * math.log(rate)
+                        for p, rate in zip(profiles, rates))
 
         def sample_weights(rng, m):
             radii = rng.gamma(shape=d - 1, scale=1.0, size=(m, k)) / rates[None, :]
@@ -537,14 +536,7 @@ def term_II(p: ExtremalProfile) -> dict:
     twopi_d = (2.0 * math.pi) ** d
     H = twopi_d * sobolev_norm_sq(p, 0.5)
     E = twopi_d * sobolev_norm_sq(p, 1.0)
-    sigma, beta = p.decay, p.tilt
-    amp = math.exp(2.0 * p.c.real)
-    if beta == 0.0:
-        V = 0.0
-    else:
-        u, w = angular_nodes(d, 400)
-        vals = u * (2.0 * (sigma - beta * u)) ** (-float(d))
-        V = amp * sphere_area(d - 1) * math.gamma(d) * float(np.dot(w, vals))
+    V = wave_moment(p, d, odd=True)
     spect = H ** (k - 2)
     I = npairs * spect * E * E
     II = npairs * spect * V * V

@@ -112,16 +112,29 @@ def schrodinger_profile(d, a, b=None, c=0.0) -> ExtremalProfile:
 # Sobolev norms
 
 
+def wave_moment(p: ExtremalProfile, q: float, odd: bool = False) -> float:
+    """Tilted polar moment int |xi|^{q-d} (xi.e/|xi|)^j |xi fhat|^2 dxi of an
+    admissible wave profile, e = Re(b)/|Re(b)|, j = 1 if odd else 0: the radial
+    Gamma integral against the _N_QUAD-node angular rule in u = cos(theta),
+
+        |S^{d-2}| Gamma(q) int_{-1}^{1} (1-u^2)^{(d-3)/2} u^j (2(sigma - beta u))^{-q} du,
+
+    sigma = -Re(a), beta = |Re(b)|; at beta = 0, |S^{d-1}| Gamma(q) (2 sigma)^{-q} or 0.
+    """
+    sigma, beta, d = p.decay, p.tilt, p.d
+    amp = math.exp(2.0 * p.c.real)
+    if beta == 0.0:
+        return 0.0 if odd else amp * sphere_area(d) * math.exp(
+            math.lgamma(q) - q * math.log(2.0 * sigma))
+    u, w = angular_nodes(d, _N_QUAD)
+    vals = (u if odd else 1.0) * (2.0 * (sigma - beta * u)) ** (-float(q))
+    return amp * sphere_area(d - 1) * math.gamma(q) * float(np.dot(w, vals))
+
+
 def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
     """Squared homogeneous Sobolev norm (2pi)^{-d} int |xi|^{2s} |fhat|^2.
 
-    Wave family: the polar reduction collapses to an analytic radial
-    Gamma integral against a 1-D angular quadrature in u = cos(theta),
-
-        (2pi)^{-d} |S^{d-2}| Gamma(m+1)
-            * int_{-1}^{1} (1-u^2)^{(d-3)/2} (2(sigma - beta u))^{-(m+1)} du,
-
-    with m = 2s + d - 3, sigma = -Re(a), beta = |Re(b)|.  Divergent
+    Wave family: (2pi)^{-d} wave_moment(p, m + 1), m = 2s + d - 3.  Divergent
     profiles (beta >= sigma) return math.inf as a deliberate tag -- the
     admissibility predicate, not an overflow.
     """
@@ -130,20 +143,8 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
             raise ValueError("wave-family norms need s >= 1/2")
         if not p.admissible:
             return math.inf
-        sigma, beta = p.decay, p.tilt
-        d, m = p.d, 2.0 * s + p.d - 3.0
-        amp = math.exp(2.0 * p.c.real)
-        if beta == 0.0:
-            return (
-                amp
-                * sphere_area(d)
-                * math.exp(math.lgamma(m + 1.0) - (m + 1.0) * math.log(2.0 * sigma))
-                / (2.0 * math.pi) ** d
-            )
-        u, w = angular_nodes(d, _N_QUAD)
-        vals = (2.0 * (sigma - beta * u)) ** (-(m + 1.0))
-        ang = float(np.dot(w, vals))
-        return amp * sphere_area(d - 1) * math.gamma(m + 1.0) * ang / (2.0 * math.pi) ** d
+        m = 2.0 * s + p.d - 3.0
+        return wave_moment(p, m + 1.0) / (2.0 * math.pi) ** p.d
 
     # Gaussian family: finite for every s >= 0.
     if s < 0:

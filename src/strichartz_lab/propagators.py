@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import WAVE, SCHRODINGER, check_case, check_length, log_sphere_area, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, check_length, log_cone_c0, sphere_area
 from .profiles import ExtremalProfile, checked_positive
 from .quadrules import QuadratureError, lazy_module, uniform_panels
 
@@ -409,8 +409,8 @@ def lambda_amplitude(p: ExtremalProfile, t: float, x) -> float:
 
 
 def center_line_constant(d: int) -> float:
-    """C0 = Gamma(d-1) |S^{d-1}|: |u(t, center)| = C0 e^{Re c} / ((2pi)^d |Re a + i t~|^{d-1})."""
-    return math.exp(math.lgamma(d - 1) + log_sphere_area(d))
+    """C0 (constants.log_cone_c0): |u(t, center)| = C0 e^{Re c} / ((2pi)^d |Re a + i t~|^{d-1})."""
+    return math.exp(log_cone_c0(d))
 
 
 def lambda_diagnostics(p: ExtremalProfile):

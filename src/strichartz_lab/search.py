@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -188,6 +189,9 @@ class SearchConfig:
     restarts: int = 1
 
     def __post_init__(self):
+        for name, value in (("budget", self.budget), ("restarts", self.restarts), ("m", self.m)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"need an integer {name}, got {value!r}")
         if self.budget < 1:
             raise ValueError(f"need budget >= 1, got {self.budget}")
         if self.restarts < 1:

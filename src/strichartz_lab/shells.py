@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import (SCHRODINGER, WAVE, alpha_exponent, beta_exponent, check_case,
-                        check_length, log_beta_fn, log_sphere_area, sphere_area)
+                        check_length, log_beta_fn, log_cone_c0, log_sphere_area, sphere_area)
 from .geometry import ConePoint, minkowski_form
 from .mc import blockwise, mc_mean, row_norm, row_sum, unit_directions
 from .profiles import checked_positive
@@ -169,12 +169,9 @@ def itilde_montecarlo(
     check_montecarlo(d, k, p, epsilon, n_samples)
     tau, xi = p.tau, np.asarray(p.xi, dtype=float)
     rate = k * (d - 1) / tau
-    area = sphere_area(d)
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * epsilon)
-    # Per-factor weight constant: |S^{d-1}| Gamma(d-1) / rate^{d-1}.
-    log_const = (k - 1) * (
-        math.log(area) + math.lgamma(d - 1) - (d - 1) * math.log(rate)
-    )
+    # Per-factor weight constant: C0 / rate^{d-1}, the proposal's normaliser.
+    log_const = (k - 1) * (log_cone_c0(d) - (d - 1) * math.log(rate))
 
     def block_weights(radii, dirs):
         # eta_k = xi - sum_j r_j u_j, one coordinate column at a time; the

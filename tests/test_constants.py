@@ -25,6 +25,18 @@ def test_sphere_areas_known_values():
     assert C.sphere_area(5) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_closed_form_kappa_is_the_cone_constant_over_2pi_to_the_d(d):
+    # kappa_d = Gamma((d+1)/2) / ((d-1) pi^{(d+1)/2}) = C0 / (2pi)^d by the
+    # duplication formula; C0 = Gamma(d-1)|S^{d-1}| against mpmath too.
+    c0 = math.exp(C.log_cone_c0(d))
+    assert PR.closed_form_kappa(d) * (2.0 * math.pi) ** d == pytest.approx(c0, rel=2e-15, abs=0.0)
+    with mpmath.workdps(30):
+        half = mpmath.mpf(d) / 2
+        want = mpmath.gamma(d - 1) * 2 * mpmath.pi ** half / mpmath.gamma(half)
+    assert c0 == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
 def test_sphere_area_high_precision_sweep():
     mpmath.mp.dps = 40
     for d in range(1, 13):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,12 @@ def test_lp_norm_frozen_values(ev5):
     assert n10 ** 10 == pytest.approx(5.0 / (49152.0 * math.pi ** 8), rel=1e-6)
     with pytest.raises(ValueError):
         FN.lp_norm_radial(ev3, 5)
+
+
+@pytest.mark.parametrize("p", [6.0, np.float64(4.0), True, "4"])
+def test_lp_norm_needs_an_integer_exponent(ev5, p):
+    with pytest.raises(ValueError, match=re.escape(f"got {p!r}")):
+        FN.lp_norm_radial(ev5, p)
 
 
 def test_lp_norm_insufficient_decay_guard(ev5):

@@ -14,6 +14,7 @@ import strichartz_lab
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import WAVE, SCHRODINGER, sphere_area
+from strichartz_lab.quadrules import angular_nodes
 
 
 def test_profile_validation():
@@ -33,6 +34,29 @@ def test_decay_rule_is_written_only_in_profiles():
                     if "must be finite and > 0" in p.read_text())
     assert owners == ["profiles.py"]
     assert not [p.name for p in src.glob("*.py") if "def checked_decay" in p.read_text()]
+
+
+def test_cone_constant_and_wave_moment_have_one_owner():
+    # C0 = Gamma(d-1)|S^{d-1}| is written in constants (log_cone_c0), and the
+    # tilted angular integrand of the wave polar moment in profiles (wave_moment).
+    src = Path(strichartz_lab.__file__).parent
+    for pattern, owner in ((r"lgamma\(d - 1\)", "constants.py"),
+                           (r"\(sigma - beta \* u\)", "profiles.py")):
+        writers = sorted(p.name for p in src.glob("*.py") if re.search(pattern, p.read_text()))
+        assert writers == [owner], pattern
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("ratio", [0.3, 0.9, 0.99])
+def test_wave_moment_angular_rule_matches_a_finer_rule(d, ratio):
+    # V = int |fhat|^2 |xi| xi.e dxi on the shared 200-node angular rule
+    # against the same integral on 800 nodes.
+    sigma = 1.3
+    p = P.wave_profile(d, -sigma, b=[ratio * sigma] + [0.0] * (d - 1), c=0.2)
+    u, w = angular_nodes(d, 800)
+    ang = np.dot(w, u * (2.0 * (sigma - ratio * sigma * u)) ** (-float(d)))
+    want = math.exp(0.4) * sphere_area(d - 1) * math.gamma(d) * ang
+    assert P.wave_moment(p, d, odd=True) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 _GOOD_RECORD = P.profile_to_record(P.wave_profile(3, -1.0))

@@ -1,6 +1,7 @@
 """Extremizer search: ansatz, objectives, traces, symmetry audits."""
 
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,6 +121,15 @@ def test_search_config_rejects_an_empty_budget_restart_count_or_ansatz(fields, m
         S.SearchConfig(**fields)
     for m in (1, 12):
         assert S.SearchConfig(budget=1, restarts=1, m=m).m == m
+
+
+@pytest.mark.parametrize("name, value", [
+    ("m", 2.5), ("restarts", 1.5), ("budget", 2.5), ("m", True), ("budget", np.float64(3.0)),
+])
+def test_search_config_counts_are_integers(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"need an integer {name}, got {value!r}")):
+        S.SearchConfig(**{name: value})
+    assert getattr(S.SearchConfig(**{name: np.int64(3)}), name) == 3
 
 
 def _oracle_log_profile(theta, family, r):
