@@ -284,8 +284,8 @@ def spacetime_integral(
     otherwise), which matters for the slowly decaying d = 2 sextics.
     """
     checked_positive(rel_tol, "rel_tol")
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    if isinstance(max_levels, bool) or not (isinstance(max_levels, Integral) and max_levels >= 1):
+        raise ValueError(f"max_levels must be an integer >= 1, got {max_levels!r}")
     if check_window:
         _checked_beyond_one(ext_factor, "ext_factor")
     _, d = C.case_of(evaluators)
@@ -440,12 +440,11 @@ def multilinear_rhs(profiles, n_samples: int = 200_000, seed: int = 0) -> McEsti
             return blockwise(m, lambda n: unit_directions(rng, n, k, d), block_weights, radii)
 
         def block_weights(radii, dirs):
-            eta = radii[:, :, None] * dirs
-            # exponent 2 Re(b_j).eta_j - 2 |Re b_j| r_j <= 0
-            expo = 2.0 * (np.einsum("jd,mjd->m", bvecs, eta) - np.einsum("j,mj->m", tilts, radii))
+            # exponent 2 sum_j r_j (Re(b_j).w_j - |Re b_j|) <= 0
+            expo = 2.0 * np.einsum("mj,mj->m", radii, np.einsum("jd,mjd->mj", bvecs, dirs) - tilts)
             w = np.exp(expo + log_const)
             if alpha != 0.0:
-                w = w * wave_weight_sq_batch(eta) ** alpha
+                w = w * wave_weight_sq_batch(radii, dirs) ** alpha
             return w
 
     else:

@@ -5,6 +5,9 @@ forms: the quadratic form rho(tau, xi) = tau^2 - |xi|^2, the pure boost
 T_v normalising interior cone points to (sqrt(rho), 0), the affine
 frequency map preserving the paraboloid, and the two interaction
 weights K(eta) whose square collapses to rho on the delta supports.
+The scalar weights are the test oracles; the Monte Carlo right-hand
+sides read the batches, the wave one in the polar form (radii and unit
+directions) in which its samples are drawn.
 """
 
 from __future__ import annotations
@@ -181,31 +184,24 @@ def schro_weight(eta) -> float:
     return math.sqrt(math.fsum(terms))
 
 
-def wave_weight_sq_batch(eta: np.ndarray) -> np.ndarray:
-    """K^2 for a batch of frequency tuples, shape (n, k, d) -> (n,).
+def wave_weight_sq_batch(radii: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Wave K^2 of a batch of tuples eta_j = r_j w_j given as drawn: radii of
+    shape (n, k) and unit directions of shape (n, k, d) -> (n,).
 
-    Same stabilised pair evaluation as wave_weight, vectorised over the
-    sample axis for the Monte Carlo integrators.
+    For unit w, |eta_i||eta_j| - eta_i.eta_j = r_i r_j |w_i - w_j|^2 / 2, a
+    sum of nonnegative terms in which nearby directions subtract exactly, so
+    no Lagrange form and no clamp.  Drawn directions are unit only to
+    rounding, so a pair differs from the eta form of the same floats by
+    r_i r_j (|w_i| - |w_j|)^2 / 2, about 1e-32 r_i r_j: the error floor of
+    pairs closer than about 1e-8 radians.
     """
-    eta = np.asarray(eta, dtype=float)
-    n, k, d = eta.shape
-    norms = np.linalg.norm(eta, axis=2)
+    n, k = radii.shape
     total = np.zeros(n)
     for i in range(k):
         for j in range(i + 1, k):
-            dot = np.einsum("nd,nd->n", eta[:, i, :], eta[:, j, :])
-            prod = norms[:, i] * norms[:, j]
-            # Lagrange identity numerator: sum over coordinate pairs.
-            gram = np.zeros(n)
-            for m in range(d):
-                for q in range(m + 1, d):
-                    c = eta[:, i, m] * eta[:, j, q] - eta[:, i, q] * eta[:, j, m]
-                    gram += c * c
-            # Direct difference is safe for dot <= 0 (no cancellation there).
-            denom = np.where(dot > 0.0, prod + dot, 1.0)
-            stable = np.where(dot > 0.0, gram / denom, prod - dot)
-            total += np.maximum(stable, 0.0)
-    return total
+            diff = dirs[:, i, :] - dirs[:, j, :]
+            total += radii[:, i] * radii[:, j] * np.einsum("nd,nd->n", diff, diff)
+    return 0.5 * total
 
 
 def schro_weight_sq_batch(eta: np.ndarray) -> np.ndarray:

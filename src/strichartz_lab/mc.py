@@ -49,7 +49,7 @@ def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
     The callable must be a pure function of the generator state; chunk i
     holds min(CHUNK, n - i*CHUNK) samples from `chunk_generator(seed, i)`.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"need a whole number of samples >= 1, got {n!r}")
     totals, count, run_mean, m2 = [], 0, 0.0, 0.0
     for idx in range(-(-n // CHUNK)):

@@ -12,6 +12,7 @@ import pytest
 from strichartz_lab import constants as C
 from strichartz_lab import functionals as FN
 from strichartz_lab import geometry as G
+from strichartz_lab import mc as MC
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab import shells as SH
@@ -382,6 +383,24 @@ def _length_comparisons(tree):
             operands = [node.left, *node.comparators]
             if any(map(sized, operands)) and any(map(dim, operands)):
                 yield node.lineno
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: C.check_case(C.SCHRODINGER, True), "integer d >= 1, got d = True"),
+    (lambda: P.schrodinger_profile(True, -1.0), "integer d >= 1, got d = True"),
+    (lambda: MC.mc_mean(lambda rng, m: np.ones(m), True, 0), "samples >= 1, got True"),
+    (lambda: FN.spacetime_integral(lambda t, r: t * r, [_U5], max_levels=2.5),
+     "integer >= 1, got 2.5"),
+    (lambda: FN.spacetime_integral(lambda t, r: t * r, [_U5], max_levels=True),
+     "integer >= 1, got True"),
+], ids=["check_case_d", "schrodinger_profile_d", "mc_mean_n", "max_levels_float",
+        "max_levels_bool"])
+def test_counts_and_cases_reject_bools_and_non_integers(call, bad):
+    # A bool is an Integral: d = True once passed as a Schrodinger d = 1 and
+    # failed later in np.zeros, n = True ran one sample with an infinite
+    # stderr, max_levels = True ran one level and 2.5 failed inside range.
+    with pytest.raises(ValueError, match=bad):
+        call()
 
 
 def test_served_family_shared_case_and_vector_length_are_written_only_in_constants():

@@ -12,6 +12,7 @@ from scipy import integrate
 
 from strichartz_lab import constants as C
 from strichartz_lab import functionals as FN
+from strichartz_lab import geometry as G
 from strichartz_lab import mc as MC
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
@@ -386,6 +387,46 @@ def test_schrodinger_rhs_working_set_is_a_row_block(traced_peak):
     # took 12.8 MB; block by block 4.7 MB.
     tup = _RHS_TUPLES[SCHRODINGER]
     assert traced_peak(FN.multilinear_rhs, tup, n_samples=MC.CHUNK, seed=0) <= 6e6
+
+
+def _reference_wave_rhs_weights(profiles):
+    # Test-only reference sampler: the draws of multilinear_rhs in its order
+    # (gamma radii, then directions), each sample weighted in the eta form by
+    # the scalar wave_weight.
+    d, k = profiles[0].d, len(profiles)
+    alpha = float(C.alpha_exponent(d, k))
+    rates = np.array([2.0 * (p.decay - p.tilt) for p in profiles])
+    log_const = sum(2.0 * p.c.real + C.log_cone_c0(d) - (d - 1) * math.log(rate)
+                    for p, rate in zip(profiles, rates))
+
+    def sample_weights(rng, m):
+        radii = rng.gamma(shape=d - 1, scale=1.0, size=(m, k)) / rates[None, :]
+        eta = radii[:, :, None] * MC.unit_directions(rng, m, k, d)
+        w = np.empty(m)
+        for i in range(m):
+            expo = 2.0 * sum(float(np.dot(p.b.real, e)) - p.tilt * np.linalg.norm(e)
+                             for p, e in zip(profiles, eta[i]))
+            w[i] = math.exp(expo + log_const) * G.wave_weight(eta[i]) ** (2.0 * alpha)
+        return w
+
+    return sample_weights
+
+
+@pytest.mark.parametrize("profiles", [
+    [P.wave_profile(5, -1.0, b=[0.3, 0.0, 0.0, 0.0, 0.0]),
+     P.wave_profile(5, complex(-1.2, 0.4), c=0.1j)],
+    [P.wave_profile(4, -1.0, b=[0.0, 0.4, 0.0, 0.2j]),
+     P.wave_profile(4, -0.7, b=[0.1, 0.0, 0.2, 0.0])],
+    [P.wave_profile(3, -1.0, b=[0.2, 0.0, 0.0]), P.wave_profile(3, -0.8, b=[0.0, -0.3, 0.1]),
+     P.wave_profile(3, complex(-1.3, 0.2), c=0.2)],
+], ids=["d5k2", "d4k2", "d3k3"])
+def test_wave_rhs_matches_a_per_sample_eta_form_reference(profiles):
+    # The polar weights against the eta form sample by sample: the same draws,
+    # the same estimator, so only rounding can separate them.
+    got = FN.multilinear_rhs(profiles, n_samples=3000, seed=17)
+    want = MC.mc_mean(_reference_wave_rhs_weights(profiles), 3000, 17)
+    assert got.mean == pytest.approx(want.mean, rel=1e-13, abs=0.0)
+    assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("d, seed", [(3, 31), (4, 41), (5, 51)])

@@ -1,6 +1,7 @@
 """Minkowski geometry, boosts, Galilean maps, interaction weights."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strichartz_lab import geometry as G
+from strichartz_lab import mc as MC
 
 _COORD = st.floats(-10.0, 10.0)
 
@@ -190,8 +192,37 @@ def test_wave_weight_stable_for_nearly_parallel():
 def test_weight_batches_match_scalar():
     rng = np.random.default_rng(21)
     eta = rng.normal(size=(64, 3, 4))
-    bw = G.wave_weight_sq_batch(eta)
+    norms = np.linalg.norm(eta, axis=2)
+    bw = G.wave_weight_sq_batch(norms, eta / norms[:, :, None])
     bs = G.schro_weight_sq_batch(eta)
     for i in range(0, 64, 7):
         assert bw[i] == pytest.approx(G.wave_weight(eta[i]) ** 2, rel=1e-12)
         assert bs[i] == pytest.approx(G.schro_weight(eta[i]) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("angle", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_polar_wave_batch_on_nearly_parallel_pairs(angle):
+    # Pairs of d = 5 directions `angle` apart, normalised by the lab's own
+    # draw, against |eta_1||eta_2| - eta_1.eta_2 at 60 digits with
+    # eta = r w formed exactly from the same floats.
+    rng = np.random.default_rng(13)
+    n, d = 16, 5
+    z = rng.normal(size=(n, 2, d))
+    z0, z1 = z[:, 0], z[:, 1]
+    perp = z1 - (np.einsum("nd,nd->n", z1, z0) / np.einsum("nd,nd->n", z0, z0))[:, None] * z0
+    z1[:] = z0 + (math.tan(angle) * np.linalg.norm(z0, axis=1)
+                  / np.linalg.norm(perp, axis=1))[:, None] * perp
+    dirs = MC.unit_directions(SimpleNamespace(normal=lambda size: z.copy()), n, 2, d)
+    radii = rng.gamma(shape=d - 1, size=(n, 2))
+    got = G.wave_weight_sq_batch(radii, dirs)
+    for i in range(n):
+        with mpmath.workdps(60):
+            eta = [[mpmath.mpf(radii[i, j]) * mpmath.mpf(x) for x in dirs[i, j]] for j in (0, 1)]
+            norms = [mpmath.sqrt(sum(x * x for x in e)) for e in eta]
+            want = float(norms[0] * norms[1] - sum(x * y for x, y in zip(*eta)))
+        if angle >= 1e-9:
+            assert abs(got[i] - want) <= 1e-12 * want
+        else:
+            # Below about 1e-8 the floor r_1 r_2 (|w_1| - |w_2|)^2 / 2 of the
+            # drawn directions' rounding dominates.
+            assert abs(got[i] - want) <= 1e-30 * radii[i, 0] * radii[i, 1]
