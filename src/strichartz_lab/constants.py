@@ -46,15 +46,20 @@ def log_cone_c0(d: int) -> float:
     return math.lgamma(d - 1) + log_sphere_area(d)
 
 
+def whole(value) -> bool:
+    """The whole-number rule: an integer, numpy's included, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_case(family: str, d: int, k: int = 2, serves=FAMILIES) -> None:
     """The one rule for which case the lab accepts: ValueError naming the bad value
-    unless family is known and served, d a non-bool integer >= its DIM_FLOOR, k one >= 2."""
+    unless family is known and served, d a whole number >= its DIM_FLOOR, k one >= 2."""
     if family not in DIM_FLOOR:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if family not in serves:
         raise ValueError(f"this routine serves the {' and '.join(serves)} family, got {family!r}")
     for name, value, floor in (("d", d, DIM_FLOOR[family]), ("k", k, 2)):
-        if isinstance(value, bool) or not (isinstance(value, Integral) and value >= floor):
+        if not (whole(value) and value >= floor):
             raise ValueError(f"the {family} estimates need an integer {name} >= {floor}, "
                              f"got {name} = {value!r}")
 

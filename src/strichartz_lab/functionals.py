@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -284,7 +283,7 @@ def spacetime_integral(
     otherwise), which matters for the slowly decaying d = 2 sextics.
     """
     checked_positive(rel_tol, "rel_tol")
-    if isinstance(max_levels, bool) or not (isinstance(max_levels, Integral) and max_levels >= 1):
+    if not (C.whole(max_levels) and max_levels >= 1):
         raise ValueError(f"max_levels must be an integer >= 1, got {max_levels!r}")
     if check_window:
         _checked_beyond_one(ext_factor, "ext_factor")
@@ -371,7 +370,7 @@ def lp_norm_radial(evaluator, p: int, **kw):
     Computed as (int int |u|^p |S^{d-1}| r^{d-1} dr dt)^{1/p}; returns
     (norm, error estimate).
     """
-    if not (isinstance(p, Integral) and p in (4, 6, 10)):
+    if not (C.whole(p) and p in (4, 6, 10)):
         raise ValueError(f"p must be one of the integers 4, 6, 10, got {p!r}")
     # Global integrability of a single propagator field: the |t| -> inf
     # slice decays like t^{(d-1)(1-p/2)} (wave ridge) or t^{d(1-p/2)+d/2}
@@ -690,17 +689,22 @@ def mixed_norm_quotient(p: ExtremalProfile) -> QuotientReport:
 _FIBER_BLOCK = 2 ** 15  # most tensor entries a fiber routine evaluates at once
 
 
-def _contract_rows(block, n_rows: int, row_entries: int, wu):
-    """Stack block(rows) @ wu over blocks of outer rows.
-
-    block(rows) evaluates the (rows, inner, len(wu)) slab of a fiber
-    tensor; each slab holds at most _FIBER_BLOCK entries, so no
-    elementwise temporary outgrows the cache.  The result takes the
-    slabs' dtype (a complex g keeps its imaginary part).
+def _fiber_integral(d: int, outer_nodes, inner_rule, n_u: int, slab, phi_scale,
+                    w_outer, cell) -> float:
+    """(2pi)^{1-3d} |S^{d-1}| sum_ij w_outer_i |Phi_ij|^2 cell_ij w_j, the Plancherel
+    integral of both fiber routes, with Phi = phi_scale * (slab @ wu) on the n_u-node
+    angular rule (u, wu).  slab(A, B, U) gets outer nodes A (rows, 1, 1), the inner
+    rule's nodes B (1, inner, 1) and U (1, 1, n_u); each slab holds at most _FIBER_BLOCK
+    entries, so no temporary outgrows the cache.  Phi keeps the slabs' dtype (complex g).
     """
-    step = max(1, _FIBER_BLOCK // row_entries)
-    return np.concatenate([block(slice(i, i + step)) @ wu
-                           for i in range(0, n_rows, step)])
+    inner, w_inner = inner_rule
+    u, wu = angular_nodes(d, n_u)
+    B, U = inner[None, :, None], u[None, None, :]
+    step = max(1, _FIBER_BLOCK // (inner.size * u.size))
+    phi = phi_scale * np.concatenate([slab(outer_nodes[i:i + step, None, None], B, U) @ wu
+                                      for i in range(0, outer_nodes.size, step)])
+    total = float(np.einsum("i,ij,j->", w_outer, np.abs(phi) ** 2 * cell, w_inner))
+    return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
 
 
 def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
@@ -722,22 +726,14 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
     span = math.sqrt(70.0 / (2.0 * checked_positive(decay, "decay")))
     q, wq = _gauss_nodes(n_q, 0.0, 2.0 * span)
     R, wR = _gauss_nodes(n_q, 0.0, 2.0 * span)
-    u, wu = angular_nodes(d, n_u)
-    RR, U = R[None, :, None], u[None, None, :]
 
-    def block(rows):
-        Q = q[rows, None, None]
+    def slab(Q, RR, U):
         A = 0.25 * Q * Q + RR * RR
         BU = Q * RR * U
-        return np.asarray(radial_fn(np.sqrt(A + BU))) * np.asarray(
-            radial_fn(np.sqrt(A - BU))
-        )
+        return np.asarray(radial_fn(np.sqrt(A + BU))) * np.asarray(radial_fn(np.sqrt(A - BU)))
 
-    phi = 0.25 * R ** (d - 2) * sphere_area(d - 1) * _contract_rows(
-        block, n_q, n_q * n_u, wu)
-    inner = np.abs(phi) ** 2 * 4.0 * R[None, :]
-    total = float(np.einsum("i,ij,j->", wq * q ** (d - 1), inner, wR))
-    return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
+    return _fiber_integral(d, q, (R, wR), n_u, slab, 0.25 * R ** (d - 2) * sphere_area(d - 1),
+                           wq * q ** (d - 1), 4.0 * R)
 
 
 def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
@@ -759,11 +755,8 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
     span = 80.0 / checked_positive(decay, "decay")
     tau, wt = _gauss_nodes(100, 0.0, span)
     x, wx = _gauss_nodes(100, 0.0, 1.0)  # q = tau * x
-    u, wu = angular_nodes(d, 48)
-    X, U = x[None, :, None], u[None, None, :]
 
-    def block(rows):
-        T = tau[rows, None, None]
+    def slab(T, X, U):
         Q = T * X
         D = T - Q * U
         rstar = (T * T - Q * Q) / (2.0 * D)
@@ -773,10 +766,8 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
         vals /= D
         return vals
 
-    phi = sphere_area(d - 1) * _contract_rows(block, tau.size, x.size * u.size, wu)
     qweight = (tau[:, None] * x[None, :]) ** (d - 1) * tau[:, None]  # dq = tau dx
-    total = float(np.einsum("i,ij,j->", wt, np.abs(phi) ** 2 * qweight, wx))
-    return (2.0 * math.pi) ** (1 - 3 * d) * sphere_area(d) * total
+    return _fiber_integral(d, tau, (x, wx), 48, slab, sphere_area(d - 1), wt, qweight)
 
 
 def _radial_norm_sq(radial_fn, d: int, power: float, nodes) -> float:

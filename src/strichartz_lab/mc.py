@@ -19,10 +19,12 @@ samples do not depend on ROW_BLOCK.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .constants import whole
 
 CHUNK = 1 << 17  # samples per Philox stream
 ROW_BLOCK = 1 << 14  # samples a sampler processes at once
@@ -38,8 +40,10 @@ class McEstimate:
 
 
 def chunk_generator(seed: int, index: int) -> np.random.Generator:
-    """Independent stream `index` of one seeded run (seeds wrap mod 2^64)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+    """Independent stream `index` of one seeded run (whole-number seeds wrap mod 2^64)."""
+    if not whole(seed):
+        raise ValueError(f"seed must be a whole number, got seed = {seed!r}")
+    key = np.array([np.uint64(operator.index(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -49,7 +53,7 @@ def mc_mean(sample_weights, n: int, seed: int) -> McEstimate:
     The callable must be a pure function of the generator state; chunk i
     holds min(CHUNK, n - i*CHUNK) samples from `chunk_generator(seed, i)`.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not whole(n) or n < 1:
         raise ValueError(f"need a whole number of samples >= 1, got {n!r}")
     totals, count, run_mean, m2 = [], 0, 0.0, 0.0
     for idx in range(-(-n // CHUNK)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import WAVE, SCHRODINGER, check_case, check_length, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, check_length, sphere_area, whole
 from .quadrules import angular_nodes, gauss_nodes
 
 # Angular Gauss nodes of the tilted-norm quadratures (8x as many radial).
@@ -50,7 +50,7 @@ class ExtremalProfile:
         check_length("b", self.b, self.d)
         self.a = complex(self.a)
         self.c = complex(self.c)
-        if self.sign not in (1, -1):
+        if not whole(self.sign) or self.sign not in (1, -1):
             raise ValueError("propagator sign must be +1 or -1")
         params = [("Im a", self.a.imag)]
         params += [(f"b[{i}]", complex(v)) for i, v in enumerate(self.b)]

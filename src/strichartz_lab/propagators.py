@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import WAVE, SCHRODINGER, check_case, check_length, log_cone_c0, sphere_area
+from .constants import WAVE, SCHRODINGER, check_case, check_length, log_cone_c0, sphere_area, whole
 from .profiles import ExtremalProfile, checked_positive
 from .quadrules import QuadratureError, lazy_module, uniform_panels
 
@@ -473,7 +473,7 @@ def schro_gaussian_eval(p: ExtremalProfile, t: float, x) -> complex:
 
 def check_grid_size(n: int) -> None:
     """ValueError unless n is a power of two >= 256 (the FFT grid sizes)."""
-    if n < 256 or n & (n - 1):
+    if not whole(n) or n < 256 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 256, got {n}")
 
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
-from .constants import WAVE, SCHRODINGER, check_case
+from .constants import WAVE, SCHRODINGER, check_case, whole
 from . import functionals as FN
 from .mc import chunk_generator
 from .profiles import symmetry_apply
@@ -190,7 +189,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, value in (("budget", self.budget), ("restarts", self.restarts), ("m", self.m)):
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not whole(value):
                 raise ValueError(f"need an integer {name}, got {value!r}")
         if self.budget < 1:
             raise ValueError(f"need budget >= 1, got {self.budget}")

@@ -393,12 +393,22 @@ def _length_comparisons(tree):
      "integer >= 1, got 2.5"),
     (lambda: FN.spacetime_integral(lambda t, r: t * r, [_U5], max_levels=True),
      "integer >= 1, got True"),
+    (lambda: MC.chunk_generator(1.5, 0), "whole number, got seed = 1.5"),
+    (lambda: MC.chunk_generator(True, 0), "whole number, got seed = True"),
+    (lambda: PR.check_grid_size(4096.0), "power of two >= 256, got 4096.0"),
+    (lambda: FN.schro_identity_check(n=4096.0), "power of two >= 256, got 4096.0"),
+    (lambda: PR.Grid1D(256.0, 1.0), "power of two >= 256, got 256.0"),
+    (lambda: P.wave_profile(3, -1.0, sign=True), r"sign must be \+1 or -1"),
+    (lambda: P.wave_profile(3, -1.0, sign=1.0), r"sign must be \+1 or -1"),
 ], ids=["check_case_d", "schrodinger_profile_d", "mc_mean_n", "max_levels_float",
-        "max_levels_bool"])
+        "max_levels_bool", "seed_float", "seed_bool", "grid_size_float",
+        "schro_identity_check_n_float", "grid1d_n_float", "sign_bool", "sign_float"])
 def test_counts_and_cases_reject_bools_and_non_integers(call, bad):
     # A bool is an Integral: d = True once passed as a Schrodinger d = 1 and
     # failed later in np.zeros, n = True ran one sample with an infinite
     # stderr, max_levels = True ran one level and 2.5 failed inside range.
+    # seed = True ran seed 1 and 1.5 failed in &, a float grid size failed
+    # in &, and sign = True or 1.0 wrote a record profile_from_record refused.
     with pytest.raises(ValueError, match=bad):
         call()
 

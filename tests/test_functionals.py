@@ -4,6 +4,7 @@ import inspect
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ def test_fiber_row_blocks_are_bit_identical_to_whole_tensors():
         assert FN.wave_bilinear_lhs_fiber(g, g, 5, 1.0) == _wave_bilinear_lhs_fiber_whole(
             g, g, 5, 1.0)
         assert FN.schro_quartic_norm4(g, 4, 1.0) == _schro_quartic_norm4_whole(g, 4, 1.0)
+
+
+def test_fiber_prefactor_is_written_only_in_the_fiber_integral():
+    # Both fiber routes end in one Plancherel integral; the (2pi)^{1-3d}
+    # |S^{d-1}| prefactor, |Phi|^2 and the angular contraction live there.
+    src = Path(FN.__file__).parent
+    writers = {p.name: p.read_text().count("** (1 - 3 * d)") for p in src.glob("*.py")}
+    assert {name: n for name, n in writers.items() if n} == {"functionals.py": 1}
+    assert "** (1 - 3 * d)" in inspect.getsource(FN._fiber_integral)
+    assert not hasattr(FN, "_contract_rows")
 
 
 def test_fiber_routines_never_evaluate_more_than_one_block():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -207,6 +208,22 @@ def test_montecarlo_mean_is_the_concatenated_chunk_streams(n, seed):
                         for i in range(-(-n // MC.CHUNK))])
     assert est.mean == pytest.approx(math.fsum(w) / n, rel=1e-14)
     assert est.stderr == pytest.approx(np.std(w) / math.sqrt(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, -3])
+def test_numpy_integer_seeds_draw_the_streams_of_int_seeds(seed):
+    for index in (0, 1, 5):
+        assert np.array_equal(MC.chunk_generator(np.int64(seed), index).random(64),
+                              MC.chunk_generator(seed, index).random(64))
+
+
+def test_seeded_generators_are_constructed_only_in_mc():
+    # The mc docstring's claim that every stream obeys one seed rule holds
+    # only while chunk_generator is the one place that builds a generator.
+    src = Path(MC.__file__).parent
+    makers = sorted(p.name for p in src.glob("*.py")
+                    if "np.random.Philox" in p.read_text() or "np.random.Generator(" in p.read_text())
+    assert makers == ["mc.py"]
 
 
 def test_montecarlo_lorentz_invariance():
