@@ -1,8 +1,7 @@
 """Cached Gauss-Legendre rules (node generation is O(n^2); reuse them),
 the panel and angular rules built on them, the one exception every
-adaptive quadrature raises, and the lazy binding of the scipy subpackages
-behind the special functions and minimize.  No other module calls
-leggauss."""
+adaptive quadrature raises, and the lazy binding of scipy.special, the
+one scipy subpackage the lab uses.  No other module calls leggauss."""
 
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ import numpy as np
 
 def lazy_module(name: str):
     """Module `name`, imported on its first attribute access, so a process
-    pays the import time and memory of scipy.special or scipy.optimize only
-    on the routes that call it."""
+    pays the import time and memory of scipy.special only on the routes
+    that call it."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)

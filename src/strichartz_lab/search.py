@@ -11,7 +11,8 @@ for the Schrodinger family (Gaussian extremizers).  Scale and phase are
 quotiented out by the objective itself; translations and tilts are not
 parameterised at all.  The optimiser is Nelder-Mead with seeded random
 restarts (the objective is quadrature-backed and mildly noisy, so
-derivative-free is the right tool).  The objective scores each case with
+derivative-free is the right tool), scipy's adaptive Nelder-Mead written
+out here step for step.  The objective scores each case with
 the report builder the verification routines use (functionals.onefn_report
 or functionals.mixed_norm_report).
 """
@@ -29,9 +30,7 @@ from . import functionals as FN
 from .mc import chunk_generator
 from .profiles import symmetry_apply
 from .propagators import QuadSpec, RadialEvaluator
-from .quadrules import QuadratureError, lazy_module
-
-optimize = lazy_module("scipy.optimize")
+from .quadrules import QuadratureError
 
 _Z_LO, _Z_HI = math.log(0.05), math.log(20.0)
 _SIMPLEX_TOL = 1e-5   # Nelder-Mead convergence tolerance on -Q
@@ -73,8 +72,8 @@ class AnsatzProfile:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        if not 1 <= self.theta.size <= _MAX_M:
-            raise ValueError(f"ansatz needs 1..{_MAX_M} coefficients")
+        if self.theta.ndim != 1 or not 1 <= self.theta.size <= _MAX_M:
+            raise ValueError(f"ansatz needs a 1..{_MAX_M}-entry vector, got shape {self.theta.shape}")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("ansatz coefficients must be finite")
         check_case(self.family, self.d)
@@ -199,6 +198,74 @@ class SearchConfig:
             raise ValueError(f"need m in 1..{_MAX_M}, got {self.m}")
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out in the middle of a simplex step."""
+
+
+def _nelder_mead(f, x0, maxfev: int, tol: float) -> bool:
+    """scipy 1.17's minimize(f, x0, method="Nelder-Mead", options={"maxfev":
+    maxfev, "xatol": tol, "fatol": tol, "adaptive": True}) step for step (Gao
+    & Han's adaptive Nelder-Mead), so f sees the same x bytes in the same
+    order; returns its `success`: True when the simplex met tol in time."""
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    calls = 0
+
+    def call(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(np.copy(x))
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while calls < maxfev:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= tol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= tol):
+                return True
+            xbar = sim[:-1].sum(0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = call(xc)
+                    shrink = not fxc < fsim[-1]
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+                else:
+                    sim[-1], fsim[-1] = xc, fxc
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return False
+
+
 def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
            x0=None):
     """Nelder-Mead ascent with restarts; returns (best profile, trace, diag).
@@ -244,18 +311,7 @@ def search(d: int, k: int, family: str, config: SearchConfig = SearchConfig(),
             start = np.zeros(config.m)
             start[0] = rng.normal(scale=0.5)
             start[1:] = rng.normal(scale=_INIT_SPREAD, size=config.m - 1)
-        res = optimize.minimize(
-            neg_q,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxfev": config.budget,
-                "xatol": _SIMPLEX_TOL,
-                "fatol": _SIMPLEX_TOL,
-                "adaptive": True,
-            },
-        )
-        if not res.success:
+        if not _nelder_mead(neg_q, start, config.budget, _SIMPLEX_TOL):
             trace.terminated_by = "budget"
 
     if not trace.iterates:

@@ -25,6 +25,9 @@ def test_ansatz_profile_basics():
     assert np.allclose(wave.radial_fn()(r), np.exp(-2.0 * r))
     with pytest.raises(ValueError):
         S.AnsatzProfile(np.zeros(13), 4, SCHRODINGER)
+    for theta in (np.zeros((2, 3)), np.float64(0.3)):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(theta)}")):
+            S.AnsatzProfile(theta, 4, SCHRODINGER)
     with pytest.raises(ValueError):
         S.AnsatzProfile(np.zeros(4), 4, "heat")
 
@@ -260,7 +263,7 @@ def test_search_counts_quadrature_failures_and_propagates_other_errors(monkeypat
         return SimpleNamespace(success=True)
 
     monkeypatch.setattr(S, "quotient_objective", objective)
-    monkeypatch.setattr(S, "optimize", SimpleNamespace(minimize=minimize))
+    monkeypatch.setattr(S, "_nelder_mead", lambda fun, x0, maxfev, tol: minimize(fun, x0).success)
     cfg = S.SearchConfig(budget=2, seed=0, restarts=1, m=3)
     outcomes[:] = [QuadratureError("stalled", best=0.3, error=1.0), 0.8]
     _, trace, diag = S.search(4, 2, SCHRODINGER, cfg)
@@ -283,9 +286,63 @@ def test_search_reports_tolerance_only_when_every_restart_met_it(monkeypatch, me
         return SimpleNamespace(success=successes.pop(0))
 
     monkeypatch.setattr(S, "quotient_objective", lambda d, k, family: lambda profile: 0.5)
-    monkeypatch.setattr(S, "optimize", SimpleNamespace(minimize=minimize))
+    monkeypatch.setattr(S, "_nelder_mead", lambda fun, x0, maxfev, tol: minimize(fun, x0).success)
     _, trace, _ = S.search(4, 2, SCHRODINGER, S.SearchConfig(budget=1, restarts=2, m=3))
     assert trace.terminated_by == expected and not successes
+
+
+@st.composite
+def _simplex_runs(draw):
+    # A start with zero coordinates, a budget and an objective with ties,
+    # plateaus (values rounded to a step) and neg_q's constant 0.0 outside a box.
+    n = draw(st.integers(1, 12))
+    coord = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    x0 = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    centre = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    step = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    box = draw(st.sampled_from([np.inf, 2.5, 1.0]))
+    budget = draw(st.integers(1, 500))
+
+    def f(x):
+        if np.any(np.abs(x) > box):
+            return 0.0
+        v = -math.exp(-float(np.sum((x - centre) ** 2)))
+        return step * round(v / step) if step else v
+
+    return f, x0, budget
+
+
+def _argsort_ties_reversed(a):
+    # A valid argsort that orders ties last index first, as a numpy build
+    # whose unstable sort moves ties may; numpy 2.4's argsort leaves an
+    # already sorted array in place, which hides a missing second sort.
+    return np.lexsort((-np.arange(len(a)), a))
+
+
+@pytest.mark.parametrize("argsort", [np.argsort, _argsort_ties_reversed],
+                         ids=["numpy", "ties_reversed"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run=_simplex_runs(), tol=st.sampled_from([1e-5, 1e-2]))
+def test_nelder_mead_evaluates_scipys_points_bit_for_bit(argsort, run, tol):
+    from scipy import optimize
+
+    f, x0, budget = run
+    ours, theirs = [], []
+
+    def logged(seen):
+        def g(x):
+            seen.append(x.tobytes())
+            return f(x)
+        return g
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", argsort)
+        met = S._nelder_mead(logged(ours), x0.copy(), budget, tol)
+        res = optimize.minimize(logged(theirs), x0.copy(), method="Nelder-Mead",
+                                options={"maxfev": budget, "xatol": tol, "fatol": tol,
+                                         "adaptive": True})
+    assert ours == theirs
+    assert met is bool(res.success)
 
 
 def test_search_scores_through_the_report_builders_only():
