@@ -21,7 +21,8 @@ from . import constants as C
 from .constants import WAVE, SCHRODINGER, sphere_area
 from .geometry import wave_weight_sq_batch, schro_weight_sq_batch
 from .mc import McEstimate, blockwise, chunk_generator, mc_mean, unit_directions
-from .profiles import ExtremalProfile, checked_positive, sobolev_norm_sq, wave_moment, wave_profile
+from .profiles import (ExtremalProfile, checked_order, checked_positive, sobolev_norm_sq,
+                       wave_moment, wave_profile)
 from .propagators import QuadSpec, RadialEvaluator, grid_from_freq_data, schro_fft_1d
 from .quadrules import QuadratureError, angular_nodes, gauss_nodes as _gauss_nodes, panel_nodes
 
@@ -372,19 +373,19 @@ def lp_norm_radial(evaluator, p: int, **kw):
     """
     if not (C.whole(p) and p in (4, 6, 10)):
         raise ValueError(f"p must be one of the integers 4, 6, 10, got {p!r}")
-    # Global integrability of a single propagator field: the |t| -> inf
-    # slice decays like t^{(d-1)(1-p/2)} (wave ridge) or t^{d(1-p/2)+d/2}
-    # (dispersive spreading), so small p diverges in low dimension.
-    d = evaluator.d
-    if evaluator.family == WAVE and (d - 1) * (p / 2.0 - 1.0) <= 1.0:
-        raise ValueError(f"||u||_{p} diverges for a single wave field in d = {d}")
-    if evaluator.family == SCHRODINGER and d * (p / 2.0 - 1.0) <= 1.0:
-        raise ValueError(f"||u||_{p} diverges for a single field in d = {d}")
+    check_product_finite(evaluator.family, evaluator.d, p // 2)
     val, err = _abs2_product_integral([evaluator] * (p // 2), **kw)
     if val <= 0:
         raise ValueError("norm integral came out non-positive")
     norm = val ** (1.0 / p)
     return norm, norm * (err / val) / p
+
+
+def check_product_finite(family: str, d: int, k: int) -> None:
+    """ValueError unless ||prod_{j<=k} u_j||_2 is finite: its squared |t| slices decay like
+    |t|^{-(d-1)(k-1)} (wave) or |t|^{-d(k-1)}, integrable on every case iff constants.rhs_finite."""
+    if not C.rhs_finite(family, d, k):
+        raise ValueError(f"the L^2 norm of a product of {k} {family} fields diverges in d = {d}")
 
 
 def product_l2_sq(evaluators, **kw):
@@ -658,6 +659,7 @@ def gaussian_l4_norm(p: ExtremalProfile) -> float:
                 * sigma^{1-d} sqrt(pi) Gamma((d-1)/2)/Gamma(d/2).
     """
     C.check_case(p.family, p.d, serves=(SCHRODINGER,))
+    check_product_finite(SCHRODINGER, p.d, 2)
     d, sigma = p.d, p.decay
     br2 = float(np.dot(p.b.real, p.b.real))
     val4 = (
@@ -721,8 +723,9 @@ def schro_quartic_norm4(radial_fn, d: int, decay: float, n_q: int = 80,
 
     with A = q^2/4 + R^2, B = qR.  Everything is smooth, so plain
     Gauss-Legendre grids converge fast; the cutoff comes from the decay
-    of g (|g(r)| ~ exp(-decay r^2)).
+    of g (|g(r)| ~ exp(-decay r^2)).  ValueError where the norm diverges (d = 1).
     """
+    check_product_finite(SCHRODINGER, d, 2)
     span = math.sqrt(70.0 / (2.0 * checked_positive(decay, "decay")))
     q, wq = _gauss_nodes(n_q, 0.0, 2.0 * span)
     R, wR = _gauss_nodes(n_q, 0.0, 2.0 * span)
@@ -750,8 +753,9 @@ def wave_bilinear_lhs_fiber(g1, g2, d: int, decay: float) -> float:
 
     Smooth in all variables (Phi vanishes at the cone edge for d >= 4),
     so tensor Gauss grids converge quickly; the spectral decay of g sets
-    the tau cutoff.
+    the tau cutoff.  ValueError where the norm diverges (d = 2).
     """
+    check_product_finite(WAVE, d, 2)
     span = 80.0 / checked_positive(decay, "decay")
     tau, wt = _gauss_nodes(100, 0.0, span)
     x, wx = _gauss_nodes(100, 0.0, 1.0)  # q = tau * x
@@ -780,8 +784,9 @@ def _radial_norm_sq(radial_fn, d: int, power: float, nodes) -> float:
 
 def wave_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 3} dr for |xi| fhat = g."""
+    C.check_case(WAVE, d)
     rule = _gauss_nodes(_NORM_NODES, 0.0, 80.0 / checked_positive(decay, "decay"))
-    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 3.0, rule)
+    return _radial_norm_sq(radial_fn, d, 2.0 * checked_order(WAVE, s) + d - 3.0, rule)
 
 
 def _schro_norm_nodes(decay: float):
@@ -792,7 +797,9 @@ def _schro_norm_nodes(decay: float):
 
 def schro_radial_norm_sq(radial_fn, d: int, s: float, decay: float) -> float:
     """(2pi)^{-d} |S^{d-1}| int |g(r)|^2 r^{2s + d - 1} dr for radial fhat = g."""
-    return _radial_norm_sq(radial_fn, d, 2.0 * s + d - 1.0, _schro_norm_nodes(decay))
+    C.check_case(SCHRODINGER, d)
+    return _radial_norm_sq(radial_fn, d, 2.0 * checked_order(SCHRODINGER, s) + d - 1.0,
+                           _schro_norm_nodes(decay))
 
 
 def schro_ansatz_quotient(radial_fn, decay: float, route: str = "fiber") -> QuotientReport:

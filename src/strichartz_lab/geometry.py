@@ -19,10 +19,6 @@ import numpy as np
 
 from .constants import check_length
 
-# Below this speed the (gamma-1)/|v|^2 block is evaluated by series;
-# the limit coefficient is 1/2 and the v^2 correction is 3|v|^2/8.
-_SMALL_V = 1e-8
-
 
 @dataclass
 class ConePoint:
@@ -65,26 +61,22 @@ def boost_matrix(v) -> np.ndarray:
 
     Row/column 0 is the tau direction:
 
-        [ gamma       -gamma v^T              ]
-        [ -gamma v    I + (gamma-1)/|v|^2 vv^T]
+        [ gamma       -gamma v^T                ]
+        [ -gamma v    I + gamma^2/(gamma+1) vv^T]
+
+    gamma^2/(gamma+1) is (gamma-1)/|v|^2 without cancellation at any |v| < 1
+    (gamma^2 - 1 = gamma^2 |v|^2), and exactly 1/2 at v = 0, where T = I.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     v2 = float(np.dot(v, v))
     if v2 >= 1.0:
         raise ValueError(f"boost speed |v| = {math.sqrt(v2):.6g} must be < 1")
-    d = v.size
-    T = np.eye(d + 1)
-    if v2 == 0.0:
-        return T
     gamma = 1.0 / math.sqrt(1.0 - v2)
-    if math.sqrt(v2) < _SMALL_V:
-        coeff = 0.5 + 0.375 * v2
-    else:
-        coeff = (gamma - 1.0) / v2
+    T = np.eye(v.size + 1)
     T[0, 0] = gamma
     T[0, 1:] = -gamma * v
     T[1:, 0] = -gamma * v
-    T[1:, 1:] += coeff * np.outer(v, v)
+    T[1:, 1:] += gamma * gamma / (gamma + 1.0) * np.outer(v, v)
     return T
 
 
@@ -158,17 +150,14 @@ def _pair_term(a, b) -> float:
 
 
 def wave_weight(eta) -> float:
-    """K(eta) = sqrt( sum_{i<j} (|eta_i||eta_j| - eta_i . eta_j) ).
-
-    Pairwise terms are clamped at zero from below: rounding can push the
-    stable form a few ulp negative for exactly parallel frequencies.
-    """
+    """K(eta) = sqrt( sum_{i<j} (|eta_i||eta_j| - eta_i . eta_j) ), each pair by
+    the nonnegative _pair_term."""
     eta = np.asarray(eta, dtype=float)
     k = eta.shape[0]
     terms = []
     for i in range(k):
         for j in range(i + 1, k):
-            terms.append(max(_pair_term(eta[i], eta[j]), 0.0))
+            terms.append(_pair_term(eta[i], eta[j]))
     return math.sqrt(math.fsum(terms))
 
 

@@ -33,6 +33,14 @@ def checked_positive(value: float, name: str) -> float:
     return value
 
 
+def checked_order(family: str, s: float) -> float:
+    """s if finite and >= its family's lowest data-norm order (wave 1/2, else 0), or ValueError."""
+    floor = 0.5 if family == WAVE else 0.0
+    if not (math.isfinite(s) and s >= floor):
+        raise ValueError(f"the {family} data norms need a finite s >= {floor}, got s = {s!r}")
+    return s
+
+
 @dataclass
 class ExtremalProfile:
     family: str
@@ -136,19 +144,16 @@ def sobolev_norm_sq(p: ExtremalProfile, s: float) -> float:
 
     Wave family: (2pi)^{-d} wave_moment(p, m + 1), m = 2s + d - 3.  Divergent
     profiles (beta >= sigma) return math.inf as a deliberate tag -- the
-    admissibility predicate, not an overflow.
+    admissibility predicate, not an overflow.  The order obeys checked_order.
     """
+    checked_order(p.family, s)
     if p.family == WAVE:
-        if s < 0.5:
-            raise ValueError("wave-family norms need s >= 1/2")
         if not p.admissible:
             return math.inf
         m = 2.0 * s + p.d - 3.0
         return wave_moment(p, m + 1.0) / (2.0 * math.pi) ** p.d
 
     # Gaussian family: finite for every s >= 0.
-    if s < 0:
-        raise ValueError("need s >= 0")
     sigma, beta = p.decay, p.tilt
     d = p.d
     amp = math.exp(2.0 * p.c.real)
@@ -352,7 +357,11 @@ def profile_to_record(p: ExtremalProfile) -> str:
 
 
 def profile_from_record(line: str) -> ExtremalProfile:
+    """Inverse of profile_to_record (sign defaults to 1); ValueError naming missing keys."""
     fields = dict(item.split("=", 1) for item in line.split())
+    missing = sorted({"family", "d", "a_re", "a_im", "b_re", "b_im", "c_re", "c_im"} - set(fields))
+    if missing:
+        raise ValueError(f"a profile record needs the keys {', '.join(missing)}")
     d = int(fields["d"])
     b_re = np.array([float(x) for x in fields["b_re"].split(",")])
     b_im = np.array([float(x) for x in fields["b_im"].split(",")])

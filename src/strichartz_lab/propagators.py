@@ -311,7 +311,7 @@ class RadialEvaluator:
         for idx in blocks:
             t_max = float(np.max(np.abs(t[idx])))
             max_freq = t_max + r_max if self.family == WAVE else 2.0 * t_max * R + r_max
-            base.append(_base_rung(R * max(max_freq, 1e-9) / (2.0 * math.pi)))
+            base.append(_base_rung(R * max_freq / (2.0 * math.pi)))
         vals = np.empty((t.size, r.size), dtype=complex)
         errs = np.empty((t.size, r.size)) if with_error else None
         prev = [None] * len(blocks)

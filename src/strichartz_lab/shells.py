@@ -185,14 +185,9 @@ def itilde_montecarlo(
         nk = row_norm(eta_k)
         total = row_sum(radii)
         s = tau - total - nk
-        positive = nk > 0.0
-        log_w = np.where(
-            positive,
-            rate * total - np.log(np.where(positive, nk, 1.0)) + log_const,
-            -np.inf,
-        )
-        gauss = -0.5 * (s / epsilon) ** 2
-        w = np.exp(log_w + gauss) * norm
+        # |eta_k| = 0 (a null set) gives w = inf, which the isfinite filter drops.
+        with np.errstate(divide="ignore"):
+            w = np.exp(rate * total - np.log(nk) + log_const - 0.5 * (s / epsilon) ** 2) * norm
         return np.where(np.isfinite(w), w, 0.0)
 
     def sample_weights(rng, m):

@@ -76,6 +76,17 @@ def test_rhs_is_finite_except_at_the_two_negative_exponents():
                 assert divergent == (C.EstimateScale(d, k, family).exponent < 0)
 
 
+def test_rhs_finite_is_the_time_integrability_rule_of_the_lhs():
+    # ||prod_{j<=k} u_j||_2^2 has slices decaying like |t|^{-(d-1)(k-1)} (wave)
+    # or |t|^{-d(k-1)} (Schrodinger); lp_norm_radial wrote that exponent rule
+    # out before it read rhs_finite.  The two agree on every accepted case.
+    for d in range(1, 10):
+        for k in range(2, 7):
+            if d >= 2:
+                assert C.rhs_finite(C.WAVE, d, k) == ((d - 1) * (k - 1) > 1)
+            assert C.rhs_finite(C.SCHRODINGER, d, k) == (d * (k - 1) > 1)
+
+
 def test_exponent_validation():
     with pytest.raises(ValueError):
         C.alpha_exponent(0, 2)

@@ -283,6 +283,27 @@ def test_rejects_a_non_positive_or_non_finite_decay(routine):
             _DECAY_ROUTINES[routine](decay)
 
 
+_GS = lambda rho: np.exp(-np.asarray(rho) ** 2)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: FN.wave_bilinear_lhs_fiber(_G, _G, 2, 1.0), "diverges in d = 2"),
+    (lambda: FN.schro_quartic_norm4(_GS, 1, 1.0), "diverges in d = 1"),
+    (lambda: FN.gaussian_l4_norm(P.schrodinger_profile(1, -1.0)), "diverges in d = 1"),
+    (lambda: FN.wave_bilinear_lhs_fiber(_G, _G, 2.5, 1.0), "integer d >= 2, got d = 2.5"),
+    (lambda: FN.schro_quartic_norm4(_GS, 2.5, 1.0), "integer d >= 1, got d = 2.5"),
+    (lambda: FN.schro_quartic_norm4(_GS, True, 1.0), "integer d >= 1, got d = True"),
+], ids=["fiber_d2", "quartic_d1", "gaussian_l4_d1", "fiber_d2.5", "quartic_d2.5",
+        "quartic_d_bool"])
+def test_lhs_routes_reject_a_divergent_norm_or_a_non_integer_d(call, bad):
+    # The d = 2 wave fiber once returned 0.0613, growing like log(grid size)
+    # as its grids were doubled; d = 2.5 returned 5.2e-4 (fiber) and 3.2e-5
+    # (quartic); the d = 1 Schrodinger routes failed inside the sphere area
+    # or with a math domain error.
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        call()
+
+
 @pytest.mark.parametrize("mode", ["rect", "cone"])
 def test_spacetime_integral_raises_when_its_levels_run_out(mode):
     evs = [PR.RadialEvaluator(P.wave_profile(5, -1.0)) for _ in range(2)]

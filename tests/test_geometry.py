@@ -101,17 +101,34 @@ def test_boost_keeps_the_minkowski_form_and_inverts(case):
     assert abs(back.tau - p.tau) <= 1e-9 and np.max(np.abs(back.xi - p.xi)) <= 1e-9
 
 
-def test_boost_small_velocity_series_branch():
+def test_boost_small_velocity_is_smooth():
     # The (gamma-1)/|v|^2 block must pass smoothly through |v| ~ 1e-8:
     # the vv^T coefficient approaches 1/2 (+ 3|v|^2/8) rather than 0/0.
     v = np.array([1e-5, 0.0, 0.0])
-    T = G.boost_matrix(v)  # exact-formula branch, still well-conditioned
+    T = G.boost_matrix(v)
     assert T[1, 1] - 1.0 == pytest.approx(0.5e-10, rel=1e-3)
     below = G.boost_matrix(np.array([9.9e-9, 0.0, 0.0]))
     above = G.boost_matrix(np.array([1.01e-8, 0.0, 0.0]))
     assert np.max(np.abs(above - below)) < 2.1e-10  # just the v-entry change
     tiny = G.boost_matrix(np.array([1e-9, 0.0, 0.0]))
     assert tiny[0, 1] == pytest.approx(-1e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize("speed", [1.01e-8, 1e-7, 1e-6, 1e-2, 0.9])
+def test_boost_vv_block_matches_mpmath(speed):
+    # T[1, 2] = (gamma-1)/|v|^2 v1 v2 carries no +1 to hide an error in the
+    # coefficient; (gamma-1)/|v|^2 in doubles was 2% off at |v| = 1e-7.
+    v = speed * np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    with mpmath.workdps(50):
+        v1, v2 = mpmath.mpf(v[0]), mpmath.mpf(v[1])
+        vsq = v1 * v1 + v2 * v2
+        gamma = 1 / mpmath.sqrt(1 - vsq)
+        want = float((gamma - 1) / vsq * v1 * v2)
+    assert G.boost_matrix(v)[1, 2] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_boost_at_rest_is_the_identity():
+    assert np.array_equal(G.boost_matrix(np.zeros(3)), np.eye(4))
 
 
 def test_galilean_examples_and_paraboloid():

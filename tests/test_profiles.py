@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import strichartz_lab
+from strichartz_lab import functionals as FN
 from strichartz_lab import profiles as P
 from strichartz_lab import propagators as PR
 from strichartz_lab.constants import WAVE, SCHRODINGER, sphere_area
@@ -195,6 +196,22 @@ def test_sobolev_wave_precondition():
         P.sobolev_norm_sq(P.wave_profile(3, -1.0), 0.3)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda: P.sobolev_norm_sq(P.wave_profile(3, -1.0), math.nan), "s = nan"),
+    (lambda: P.sobolev_norm_sq(P.schrodinger_profile(3, -1.0), math.nan), "s = nan"),
+    (lambda: P.sobolev_norm_sq(P.wave_profile(3, -1.0), math.inf), "s = inf"),
+    (lambda: FN.wave_radial_norm_sq(lambda r: np.exp(-r), 2, 0.0, 1.0), "s = 0.0"),
+    (lambda: FN.schro_radial_norm_sq(lambda r: np.exp(-r * r), 3, -2.0, 1.0), "s = -2.0"),
+    (lambda: FN.wave_radial_norm_sq(lambda r: np.exp(-r), 2.5, 1.0, 1.0), "d = 2.5"),
+], ids=["wave_nan", "schro_nan", "wave_inf", "wave_radial_s0", "schro_radial_s-2",
+        "wave_radial_d2.5"])
+def test_data_norms_reject_a_divergent_order_or_a_non_integer_d(call, bad):
+    # Each once returned a number: nan for a nan or infinite order, 1.41 and
+    # 3098 for the divergent integrals of g^2/r and g^2/r^2, 0.022 at d = 2.5.
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        call()
+
+
 def test_data_split_examples():
     u0 = lambda r: np.exp(-r)
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
@@ -356,6 +373,15 @@ def test_canonical_energy_pair_matches_velocity_split():
     assert np.allclose(fp.freq_amplitude(r), want, atol=1e-14)
     assert np.allclose(fm.freq_amplitude(r), -want, atol=1e-14)
     assert fp.sign == 1 and fm.sign == -1
+
+
+def test_record_with_missing_fields_names_them():
+    with pytest.raises(ValueError, match="needs the keys a_im, a_re, b_im, b_re, c_im, c_re, "
+                                         "d, family"):
+        P.profile_from_record("")
+    with pytest.raises(ValueError, match="needs the keys b_im$"):
+        P.profile_from_record(" ".join(f for f in _GOOD_RECORD.split()
+                                       if not f.startswith("b_im=")))
 
 
 def test_profile_serialization_round_trip():
